@@ -35,7 +35,8 @@ def ascii_field(field: np.ndarray, grid: RdGrid, lo: float, hi: float) -> str:
 
 
 def violation_summary(records, problem) -> tuple[float, float]:
-    """Worst IC-band and mass-balance violations across a batch."""
+    """Worst IC-band and mass-balance violations across a batch: the set is
+    one band per cell of frame 0, then the single mass-law member."""
     cs = rd_constraints(problem)
     ic = ConstraintSet(cs.members[:problem.grid.n_s])
     mass = ConstraintSet(cs.members[problem.grid.n_s:])
@@ -60,7 +61,7 @@ def main() -> int:
     print(f"grid {grid.n_s} cells x {grid.n_t} frames ({grid.d} dims), "
           f"{args.fields - 1} training fields, problem 0 held out")
     print(f"constraints: {grid.n_s} initial-condition bands + "
-          f"{len(cs.members) - grid.n_s} mass-balance faces, "
+          f"{cs.n_faces - 2 * grid.n_s} mass-balance faces, "
           f"tolerance {problem.delta:g}\n")
 
     rows = []

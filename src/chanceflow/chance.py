@@ -219,5 +219,6 @@ def _transport(c, t: float, x0: np.ndarray):
             lambda x, _gr=grad, _t=t, _x0=x0: np.asarray(_gr(affine_map(x, _x0, _t))) / _t,
             name=c.name,
             validate=False,
+            n_faces=c.n_faces,
         )
     raise TypeError(f"unsupported constraint type {type(c).__name__}")

@@ -18,11 +18,12 @@ import numpy as np
 
 from .config import (DIRECTION_STREAM, ExperimentConfig, Workbench,
                      build_workbench, make_sampler_config, parse_config)
-from .constraints import LinearBand, max_violation
+from .constraints import max_violation
 from .errors import ConfigError, NumericalError, OracleFailure
 from .figures import emit_figure
 from .numerics import stream_rng
 from .oracles import sliced_w2
+from .reaction_diffusion import rd_violation_split
 from .samplers import run_batch
 
 __all__ = ["ResultRow", "CSV_HEADER", "run_experiment", "main"]
@@ -72,20 +73,6 @@ def _format_cell(value) -> str:
     return format(float(value), ".9g")
 
 
-def _cv_columns(finals: np.ndarray, cs) -> tuple[float, float]:
-    """Worst violation split into initial-condition band vs. the rest."""
-    cv_ic = 0.0
-    cv_cl = 0.0
-    for row in finals:
-        for member in cs.members:
-            worst = float(np.maximum(0.0, member.face_values(row)).max())
-            if isinstance(member, LinearBand):
-                cv_ic = max(cv_ic, worst)
-            else:
-                cv_cl = max(cv_cl, worst)
-    return cv_ic, cv_cl
-
-
 def _result_row(cfg: ExperimentConfig, bench: Workbench, algorithm: str,
                 seed: int, records) -> ResultRow:
     finals = np.stack([r.x1 for r in records])
@@ -101,7 +88,7 @@ def _result_row(cfg: ExperimentConfig, bench: Workbench, algorithm: str,
             if finals.shape[0] >= 2 else None)
     cv_ic = cv_cl = None
     if bench.is_rd:
-        cv_ic, cv_cl = _cv_columns(finals, bench.cs)
+        cv_ic, cv_cl = rd_violation_split(finals, bench.cs)
     return ResultRow(
         experiment=cfg.experiment_id,
         algorithm=algorithm,

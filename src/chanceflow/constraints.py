@@ -1,9 +1,10 @@
 """Declarative constraints on clean samples, with residuals and Jacobians.
 
-A constraint contributes one or two scalar faces g_j(x); the feasible set is
-{x : g_j(x) <= 0 for all j}. Projection and sampling code only ever sees
+A constraint contributes one or more scalar faces g_j(x); the feasible set
+is {x : g_j(x) <= 0 for all j}. Projection and sampling code only ever sees
 hinge residuals max(0, g_j(x)), active faces, and gradient rows, so every
-family below implements exactly that interface.
+family below implements exactly that interface: face_values(x) gives its
+faces and jacobian(x) their gradient rows as one (n_faces, d) matrix.
 """
 
 from __future__ import annotations
@@ -44,8 +45,15 @@ def _unit_or_raise(a) -> np.ndarray:
     return a
 
 
+class _Member:
+    """Face accessor shared by every constraint family."""
+
+    def face_gradient(self, x: np.ndarray, face: int) -> np.ndarray:
+        return self.jacobian(np.asarray(x, dtype=float))[face]
+
+
 @dataclass(frozen=True)
-class LinearIneq:
+class LinearIneq(_Member):
     """Halfspace a.x <= b."""
 
     a: np.ndarray
@@ -68,8 +76,8 @@ class LinearIneq:
     def batch_face_values(self, xs: np.ndarray) -> np.ndarray:
         return (xs @ self.a - self.b)[:, None]
 
-    def face_gradient(self, x: np.ndarray, face: int) -> np.ndarray:
-        return self.a.copy()
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        return self.a[None, :].copy()
 
     def project(self, x: np.ndarray) -> np.ndarray:
         s = float(self.a @ x) - self.b
@@ -79,7 +87,7 @@ class LinearIneq:
 
 
 @dataclass(frozen=True)
-class LinearBand:
+class LinearBand(_Member):
     """Slab lo <= a.x <= hi; face 0 is the lower side, face 1 the upper."""
 
     a: np.ndarray
@@ -108,8 +116,8 @@ class LinearBand:
         s = xs @ self.a
         return np.stack([self.lo - s, s - self.hi], axis=1)
 
-    def face_gradient(self, x: np.ndarray, face: int) -> np.ndarray:
-        return -self.a if face == 0 else self.a.copy()
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        return np.array([-self.a, self.a])
 
     def project(self, x: np.ndarray) -> np.ndarray:
         s = float(self.a @ x)
@@ -120,7 +128,7 @@ class LinearBand:
 
 
 @dataclass(frozen=True)
-class QuadIneq:
+class QuadIneq(_Member):
     """Squared projection (a.x)^2 <= b, b > 0."""
 
     a: np.ndarray
@@ -147,12 +155,12 @@ class QuadIneq:
         s = xs @ self.a
         return (s * s - self.b)[:, None]
 
-    def face_gradient(self, x: np.ndarray, face: int) -> np.ndarray:
-        return 2.0 * float(self.a @ x) * self.a
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        return (2.0 * float(self.a @ x) * self.a)[None, :]
 
 
 @dataclass(frozen=True)
-class MinDistance:
+class MinDistance(_Member):
     """Keep-out ball: ||x[subset] - center|| >= radius (nonconvex).
 
     coord_subset selects which coordinates the distance is measured over;
@@ -197,7 +205,7 @@ class MinDistance:
         sel = xs if self.coord_subset is None else xs[:, list(self.coord_subset)]
         return (self.radius - np.linalg.norm(sel - self.center, axis=1))[:, None]
 
-    def face_gradient(self, x: np.ndarray, face: int) -> np.ndarray:
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
         diff = self._select(x) - self.center
         dist = float(np.linalg.norm(diff))
         if dist == 0.0:
@@ -207,17 +215,23 @@ class MinDistance:
             grad[:] = -diff / dist
         else:
             grad[list(self.coord_subset)] = -diff / dist
-        return grad
+        return grad[None, :]
 
 
 @dataclass(frozen=True)
-class SmoothScalar:
-    """User-supplied differentiable scalar constraint g(x) <= 0.
+class SmoothScalar(_Member):
+    """User-supplied differentiable constraint g(x) <= 0 with n_faces faces.
 
-    The gradient evaluator is checked against central finite differences on
+    g returns the (n_faces,) face values and grad their (n_faces, dim)
+    Jacobian; with one face, a scalar g and a (dim,) gradient are accepted
+    too. Several faces in one member let a structured constraint (the
+    reaction-diffusion mass law, say) evaluate all of them in one vectorized
+    pass and its Jacobian once per projection step.
+
+    Every face's gradient is checked against central finite differences on
     seeded probe directions at construction; a mismatch beyond 1e-5 relative
-    error rejects the pair immediately rather than corrupting projections
-    later.
+    error, or an output of the wrong shape, rejects the pair immediately
+    rather than corrupting projections later.
     """
 
     dim: int
@@ -225,11 +239,15 @@ class SmoothScalar:
     grad: callable = field(repr=False)
     name: str = ""
     validate: bool = True
+    n_faces: int = 1
 
     def __post_init__(self):
         if int(self.dim) < 1:
             raise ValueError("dimension must be positive")
+        if int(self.n_faces) < 1:
+            raise ValueError("a smooth constraint needs at least one face")
         object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "n_faces", int(self.n_faces))
         if self.validate:
             self._check_gradient()
 
@@ -237,31 +255,43 @@ class SmoothScalar:
         rng = stream_rng(_PROBE_SEED, self.dim)
         for _ in range(2):
             x = rng.standard_normal(self.dim)
-            gx = np.asarray(self.grad(x), dtype=float)
-            if gx.shape != (self.dim,):
-                raise ValueError(f"gradient evaluator returned shape {gx.shape}, "
-                                 f"expected ({self.dim},)")
+            jac = self.jacobian(x)
             for _ in range(3):
                 v = rng.standard_normal(self.dim)
                 v /= np.linalg.norm(v)
-                fd = (float(self.g(x + _FD_STEP * v)) - float(self.g(x - _FD_STEP * v))) / (2.0 * _FD_STEP)
-                if abs(fd - float(gx @ v)) > _FD_RTOL * (1.0 + abs(fd)):
+                fd = (self.face_values(x + _FD_STEP * v)
+                      - self.face_values(x - _FD_STEP * v)) / (2.0 * _FD_STEP)
+                analytic = jac @ v
+                bad = np.abs(fd - analytic) > _FD_RTOL * (1.0 + np.abs(fd))
+                if bad.any():
+                    f = int(np.argmax(bad))
                     raise ValueError(
-                        f"gradient evaluator disagrees with finite differences "
-                        f"(directional derivative {fd:.6e} vs {float(gx @ v):.6e})"
-                        + (f" for constraint {self.name!r}" if self.name else ""))
+                        f"gradient evaluator disagrees with finite differences on face {f} "
+                        f"(directional derivative {fd[f]:.6e} vs {analytic[f]:.6e})"
+                        + self._named())
 
-    n_faces = 1
+    def _named(self) -> str:
+        return f" for constraint {self.name!r}" if self.name else ""
+
+    def _shaped(self, out, shape: tuple, what: str) -> np.ndarray:
+        arr = np.asarray(out, dtype=float)
+        if arr.shape == shape:
+            return arr
+        if shape[0] == 1 and arr.shape == shape[1:]:
+            return arr.reshape(shape)
+        raise ValueError(f"{what} evaluator returned shape {arr.shape}, "
+                         f"expected {shape}" + self._named())
+
     has_closed_projection = False
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([float(self.g(x))])
+        return self._shaped(self.g(x), (self.n_faces,), "constraint")
 
     def batch_face_values(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([float(self.g(row)) for row in xs])[:, None]
+        return np.array([self.face_values(row) for row in xs]).reshape(len(xs), self.n_faces)
 
-    def face_gradient(self, x: np.ndarray, face: int) -> np.ndarray:
-        return np.asarray(self.grad(x), dtype=float)
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        return self._shaped(self.grad(x), (self.n_faces, self.dim), "gradient")
 
 
 CONSTRAINT_KINDS = (LinearIneq, LinearBand, QuadIneq, MinDistance, SmoothScalar)
@@ -284,6 +314,7 @@ class ConstraintSet:
         dims = {c.dim for c in members if c.dim is not None}
         if len(dims) > 1:
             raise ValueError(f"constraints disagree on dimension: {sorted(dims)}")
+        object.__setattr__(self, "_dim", dims.pop() if dims else None)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "tol", float(self.tol))
         faces = tuple((i, j) for i, c in enumerate(members) for j in range(c.n_faces))
@@ -291,8 +322,7 @@ class ConstraintSet:
 
     @property
     def dim(self):
-        dims = {c.dim for c in self.members if c.dim is not None}
-        return dims.pop() if dims else None
+        return self._dim
 
     @property
     def n_faces(self) -> int:
@@ -346,11 +376,22 @@ def active_set(cs: ConstraintSet, x) -> list[int]:
 
 
 def jacobian_active(cs: ConstraintSet, x, active: list[int]) -> np.ndarray:
-    """Gradient rows of the listed faces, one row per active face."""
+    """Gradient rows of the listed faces, one row per active face.
+
+    Each member owning an active face has its Jacobian evaluated once, and
+    the active rows are gathered from it.
+    """
     if len(active) == 0:
         raise ValueError("jacobian_active requires a nonempty active list")
     x = _check_point(cs, x)
-    return np.stack([cs.face_gradient(x, int(i)) for i in active])
+    jacobians = {}
+    rows = []
+    for face in active:
+        i, j = cs.faces[int(face)]
+        if i not in jacobians:
+            jacobians[i] = cs.members[i].jacobian(x)
+        rows.append(jacobians[i][j])
+    return np.stack(rows)
 
 
 def max_violation(cs: ConstraintSet, x) -> float:

@@ -265,6 +265,26 @@ def test_pathwise_smooth_scalar_transport_gradient():
     assert np.allclose(member.face_gradient(x, 0), 2.0 * y / t, atol=1e-12)
 
 
+def test_pathwise_multi_face_smooth_scalar_transport_gradient():
+    base = SmoothScalar(2, lambda x: np.array([float(x @ x) - 1.0, x[0] * x[1]]),
+                        lambda x: np.array([2.0 * x, [x[1], x[0]]]), n_faces=2)
+    cs = ConstraintSet((base,))
+    x0 = np.array([0.5, -1.0])
+    t = 0.4
+    moved = tighten_set(cs, t, Scheduler(1.0), "pathwise", x0=x0)
+    (member,) = moved.members
+    assert member.n_faces == 2
+    x = np.array([0.3, 0.2])
+    # values: g((x - (1-t) x0)/t); Jacobian: J_g(M_t(x)) / t  (chain rule)
+    y = affine_map(x, x0, t)
+    assert np.allclose(member.face_values(x), [float(y @ y) - 1.0, y[0] * y[1]],
+                       rtol=0.0, atol=1e-12)
+    assert np.allclose(member.jacobian(x), [2.0 * y / t, [y[1] / t, y[0] / t]],
+                       rtol=0.0, atol=1e-12)
+    assert np.allclose(member.face_gradient(x, 1), [y[1] / t, y[0] / t],
+                       rtol=0.0, atol=1e-12)
+
+
 def test_tighten_set_rejects_unknown_mode():
     with pytest.raises(ValueError):
         tighten_set(ConstraintSet(()), 0.5, Scheduler(1.0), "exact")

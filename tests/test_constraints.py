@@ -24,6 +24,14 @@ def fd_gradient(cs, x, face, h=1e-6):
     return g
 
 
+def two_faces(x):
+    return np.array([x[0] ** 2 + x[1] - 1.0, np.sin(x[0]) - x[1]])
+
+
+def two_faces_jacobian(x):
+    return np.array([[2.0 * x[0], 1.0], [np.cos(x[0]), -1.0]])
+
+
 # --- residuals ----------------------------------------------------------------
 
 
@@ -149,6 +157,7 @@ def test_jacobians_match_finite_differences_on_probes():
         QuadIneq(np.array([0.5, -1.5]), 1.2),
         MinDistance(np.array([0.2, 0.1]), 0.6),
         SmoothScalar(2, g, grad),
+        SmoothScalar(2, two_faces, two_faces_jacobian, n_faces=2),
     ]
     rng = stream_rng(21, 2)
     for member in families:
@@ -254,6 +263,63 @@ def test_smooth_scalar_rejects_wrong_gradient():
 def test_smooth_scalar_accepts_consistent_pair():
     c = SmoothScalar(2, lambda x: float(x @ x) - 1.0, lambda x: 2.0 * x)
     assert c.face_values(np.array([2.0, 0.0]))[0] == pytest.approx(3.0)
+
+
+def test_multi_face_smooth_scalar_values_and_jacobian_rows():
+    c = SmoothScalar(2, two_faces, two_faces_jacobian, n_faces=2)
+    cs = ConstraintSet((HALF, c))
+    x = np.array([0.3, -0.2])
+    assert cs.n_faces == 3
+    assert cs.faces == ((0, 0), (1, 0), (1, 1))
+    assert np.array_equal(cs.face_values(x)[1:], two_faces(x))
+    jac = two_faces_jacobian(x)
+    assert np.array_equal(jacobian_active(cs, x, [2, 0, 1]), [jac[1], HALF.a, jac[0]])
+    assert np.array_equal(cs.face_gradient(x, 2), jac[1])
+    xs = np.stack([x, 2.0 * x, -x])
+    assert np.array_equal(c.batch_face_values(xs), [two_faces(row) for row in xs])
+    assert c.batch_face_values(np.empty((0, 2))).shape == (0, 2)
+
+
+def test_multi_face_smooth_scalar_rejects_wrong_output_shape():
+    with pytest.raises(ValueError, match="shape"):
+        SmoothScalar(2, lambda x: two_faces(x)[:1], two_faces_jacobian, n_faces=2)
+    with pytest.raises(ValueError, match="shape"):
+        SmoothScalar(2, two_faces, lambda x: two_faces_jacobian(x)[0], n_faces=2)
+    with pytest.raises(ValueError, match="shape"):
+        SmoothScalar(2, two_faces, lambda x: two_faces_jacobian(x).T[:, :1], n_faces=2)
+    with pytest.raises(ValueError):
+        SmoothScalar(2, two_faces, two_faces_jacobian, n_faces=0)
+
+
+def test_multi_face_smooth_scalar_rejects_wrong_jacobian_row():
+    def wrong_second_row(x):
+        jac = two_faces_jacobian(x)
+        jac[1, 0] += 0.5
+        return jac
+
+    with pytest.raises(ValueError, match="face 1"):
+        SmoothScalar(2, two_faces, wrong_second_row, n_faces=2)
+
+
+def test_jacobian_active_evaluates_a_member_jacobian_once():
+    a = stream_rng(21, 5).standard_normal((4, 2))
+    calls = []
+
+    def counted_jacobian(x):
+        calls.append(1)
+        return a.copy()
+
+    c = SmoothScalar(2, lambda x: a @ x - 1.0, counted_jacobian, n_faces=4)
+    cs = ConstraintSet((c, HALF))
+    x = np.array([0.7, -1.2])
+    for active in ([0], [3], [0, 1, 2, 3], [4, 2, 0], [1, 4, 3]):
+        calls.clear()
+        rows = jacobian_active(cs, x, active)
+        assert len(calls) == 1
+        assert np.array_equal(rows, np.vstack([a, HALF.a])[active])
+    calls.clear()
+    jacobian_active(cs, x, [4])
+    assert calls == []
 
 
 def test_constraint_set_rejects_mixed_dimensions():

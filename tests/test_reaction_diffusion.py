@@ -7,8 +7,8 @@ import pytest
 
 from chanceflow import (ConstraintSet, EmpiricalTarget, FlowModel,
                         NumericalError, RdGrid, RdProblem, SamplerConfig,
-                        max_violation, rd_constraints, rd_dataset, rd_metrics,
-                        run_batch, simulate_rd)
+                        SmoothScalar, max_violation, rd_constraints, rd_dataset,
+                        rd_metrics, run_batch, simulate_rd)
 from chanceflow.constraints import LinearBand
 from chanceflow.numerics import stream_rng
 from chanceflow.reaction_diffusion import as_field, sample_rd_problem
@@ -91,11 +91,16 @@ def test_simulated_field_satisfies_its_own_constraints():
 
 
 def test_constraint_counts():
+    # Layout: one IC band per cell of frame 0, then the single mass member
+    # carrying both sides of every later frame's balance.
     problem = sample_rd_problem(GRID, stream_rng(51, 3))
     cs = rd_constraints(problem)
-    bands = [m for m in cs.members if isinstance(m, LinearBand)]
-    assert len(bands) == GRID.n_s
-    assert len(cs.members) == GRID.n_s + 2 * (GRID.n_t - 1)
+    assert cs.n_faces == 2 * GRID.n_s + 2 * (GRID.n_t - 1)
+    assert len(cs.members) == GRID.n_s + 1
+    assert all(isinstance(m, LinearBand) for m in cs.members[:GRID.n_s])
+    mass = cs.members[-1]
+    assert isinstance(mass, SmoothScalar)
+    assert mass.n_faces == 2 * (GRID.n_t - 1)
 
 
 def test_perturbed_initial_frame_gives_band_violation():
@@ -124,13 +129,57 @@ def test_mass_gradients_match_finite_differences():
     smooth = [m for m in cs.members if not isinstance(m, LinearBand)]
     h = 1e-6
     for member in smooth:
-        analytic = member.face_gradient(x, 0)
-        fd = np.zeros(grid.d)
-        for j in range(grid.d):
-            e = np.zeros(grid.d)
-            e[j] = h
-            fd[j] = (member.face_values(x + e)[0] - member.face_values(x - e)[0]) / (2.0 * h)
-        assert np.linalg.norm(analytic - fd) <= 1e-5 * (1.0 + np.linalg.norm(fd))
+        for face in range(member.n_faces):
+            analytic = member.face_gradient(x, face)
+            fd = np.zeros(grid.d)
+            for j in range(grid.d):
+                e = np.zeros(grid.d)
+                e[j] = h
+                fd[j] = (member.face_values(x + e)[face]
+                         - member.face_values(x - e)[face]) / (2.0 * h)
+            assert np.linalg.norm(analytic - fd) <= 1e-5 * (1.0 + np.linalg.norm(fd))
+
+
+def naive_mass_faces(problem, x):
+    """Per-frame loop over the mass law: faces +h_k - delta, -h_k - delta for
+    k = 1..n_t-1 and their gradient rows, one frame at a time."""
+    grid = problem.grid
+    w = grid.cell_weights
+    dt = grid.dt_phys
+    frames = x.reshape(grid.n_t, grid.n_s)
+    values, rows = [], []
+    for k in range(1, grid.n_t):
+        reaction = 0.0
+        for j in range(k):
+            reaction += float(w @ (frames[j] * (1.0 - frames[j])))
+        defect = (float(w @ frames[k]) - float(w @ frames[0])
+                  - dt * (k * (problem.g_left - problem.g_right) + problem.rho * reaction))
+        grad = np.zeros((grid.n_t, grid.n_s))
+        grad[k] += w
+        grad[0] -= w
+        for j in range(k):
+            grad[j] -= dt * problem.rho * w * (1.0 - 2.0 * frames[j])
+        for sign in (1.0, -1.0):
+            values.append(sign * defect - problem.delta)
+            rows.append(sign * grad.ravel())
+    return np.array(values), np.stack(rows)
+
+
+def test_mass_member_matches_per_frame_loop():
+    grid = RdGrid(n_s=12, n_t=9, dt_phys=0.25)
+    rng = stream_rng(51, 10)
+    problem = sample_rd_problem(grid, rng, rho=0.3)
+    mass = rd_constraints(problem).members[-1]
+    sim = simulate_rd(problem).ravel()
+    states = [sim, sim + 0.01 * rng.standard_normal(grid.d)]
+    states += [rng.standard_normal(grid.d) for _ in range(4)]
+    for x in states:
+        values, jac = naive_mass_faces(problem, x)
+        assert np.max(np.abs(mass.face_values(x) - values)) <= 1e-12
+        assert np.max(np.abs(mass.jacobian(x) - jac)) <= 1e-12
+    # Faces interleave the two sides of each frame: +h_1, -h_1, +h_2, ...
+    vals = mass.face_values(states[-1])
+    assert np.allclose(vals[0::2] + vals[1::2], -2.0 * problem.delta, rtol=0.0, atol=1e-12)
 
 
 # --- metrics ------------------------------------------------------------------------
