@@ -28,8 +28,8 @@ def boundary_table(b: float, schedules) -> None:
     for t in times:
         cells = []
         for sched in schedules:
-            tc = tighten_set(cs, t, sched, "marginal")[0]
-            cells.append(" inactive " if tc.kind == "inactive" else f" {tc.rhs:+8.4f} ")
+            members = tighten_set(cs, t, sched, "marginal").members
+            cells.append(f" {members[0].b:+8.4f} " if members else " inactive ")
         print(f"  {t:4.2f}  {sigma_of_t(t):8.3f} " + "".join(cells))
     print(f"\nevery column ends at rhs = b = {b} exactly: the margin is "
           "t*sigma(t)*||a||*z and sigma(1) = 0, no rounding involved.")
@@ -40,8 +40,8 @@ def check_boundary_probability(b: float, t: float, n: float, seed: int,
     """Place x_t on the tightened boundary and measure P(a.x1 <= b)."""
     sched = Scheduler(n)
     c = LinearIneq(np.array([1.0, 0.0]), b)
-    tc = tighten_set(ConstraintSet((c,)), t, sched, "marginal")[0]
-    x_t = tc.rhs * tc.a / float(tc.a @ tc.a)
+    (tc,) = tighten_set(ConstraintSet((c,)), t, sched, "marginal").members
+    x_t = tc.b * tc.a / float(tc.a @ tc.a)
     est = mc_chance(c, x_t, t, trials, stream_rng(seed, 0))
     print(f"\nn={n}, t={t}: scheduled probability phi(t) = {sched.phi(t):.6f}")
     print(f"  state on the boundary -> measured P(a.x1 <= b) = "
@@ -59,11 +59,11 @@ def quadratic_collapse(t: float, n: float) -> None:
     print(f"\nquadratic (a.x1)^2 <= b at t={t}, n={n}: critical b = {crit:.6f}")
     for scale, label in ((0.5, "below critical"), (1.0, "at critical"), (2.0, "above critical")):
         cs = ConstraintSet((QuadIneq(a, scale * crit),))
-        tc = tighten_set(cs, t, sched, "marginal")[0]
-        if tc.kind == "inactive":
+        members = tighten_set(cs, t, sched, "marginal").members
+        if not members:
             print(f"  b = {scale:.1f}*crit ({label:>14}): inactive this step")
         else:
-            print(f"  b = {scale:.1f}*crit ({label:>14}): |a.x_t| <= {tc.rhs:.6f}")
+            print(f"  b = {scale:.1f}*crit ({label:>14}): |a.x_t| <= {members[0].hi:.6f}")
 
 
 def main() -> int:

@@ -8,19 +8,19 @@ reaction-diffusion benchmark and a config-driven experiment runner sit on
 top.
 """
 
-from .chance import Scheduler, TightenedConstraint, sigma_of_t, tighten_set
+from .chance import Scheduler, sigma_of_t, tighten_set
 from .constraints import (ConstraintSet, LinearBand, LinearIneq, MinDistance,
                           QuadIneq, SmoothScalar, max_violation)
 from .errors import (ConfigError, GradientSingularityError, NumericalError,
                      OracleFailure)
 from .flow import (EmpiricalTarget, FlowModel, GaussianMixtureTarget,
-                   affine_map, interpolate, load_matrix, recover_x1)
+                   interpolate, load_matrix, recover_x1)
 from .numerics import normal_cdf, normal_quantile, solve_spd, stream_rng
 from .oracles import (BruteForceConfig, DistortionReport, McEstimate,
                       brute_force_project, feasibility_report, mc_chance,
                       rejection_sample, sample_target, sliced_w2)
 from .projection import (GnConfig, ProjectionReport, final_refine,
-                         gauss_newton_project, project_decomposed,
+                         gauss_newton_project, project, project_decomposed,
                          project_pocs)
 from .reaction_diffusion import (RdGrid, RdMetrics, RdProblem, rd_constraints,
                                  rd_dataset, rd_metrics, sample_rd_problem,
@@ -30,18 +30,18 @@ from .samplers import SampleRecord, SamplerConfig, run_batch
 __version__ = "0.1.0"
 
 __all__ = [
-    "Scheduler", "TightenedConstraint", "sigma_of_t", "tighten_set",
+    "Scheduler", "sigma_of_t", "tighten_set",
     "ConstraintSet", "LinearBand", "LinearIneq", "MinDistance", "QuadIneq",
     "SmoothScalar", "max_violation",
     "ConfigError", "GradientSingularityError", "NumericalError", "OracleFailure",
-    "EmpiricalTarget", "FlowModel", "GaussianMixtureTarget", "affine_map",
-    "interpolate", "load_matrix", "recover_x1",
+    "EmpiricalTarget", "FlowModel", "GaussianMixtureTarget", "interpolate",
+    "load_matrix", "recover_x1",
     "normal_cdf", "normal_quantile", "solve_spd", "stream_rng",
     "BruteForceConfig", "DistortionReport", "McEstimate", "brute_force_project",
     "feasibility_report", "mc_chance", "rejection_sample", "sample_target",
     "sliced_w2",
     "GnConfig", "ProjectionReport", "final_refine", "gauss_newton_project",
-    "project_decomposed", "project_pocs",
+    "project", "project_decomposed", "project_pocs",
     "RdGrid", "RdMetrics", "RdProblem", "rd_constraints", "rd_dataset",
     "rd_metrics", "sample_rd_problem", "simulate_rd",
     "SampleRecord", "SamplerConfig", "run_batch",

@@ -8,6 +8,10 @@ quadratic g, equivalent to a deterministic constraint on x_t with a
 quantile-dependent margin; the margin carries the noise scale
 sigma(t) = (1-t)/t and vanishes at t = 1, where the original constraint is
 recovered bitwise.
+
+A tightened set is a plain ConstraintSet of the clean kinds: halfspaces and
+slabs in marginal mode, the transported members in pathwise mode. Feasibility
+is therefore enforced exactly as for the clean set, by the same projections.
 """
 
 from __future__ import annotations
@@ -19,13 +23,12 @@ import numpy as np
 
 from .constraints import (ConstraintSet, LinearBand, LinearIneq, MinDistance,
                           QuadIneq, SmoothScalar)
-from .flow import affine_map
+from .flow import recover_x1
 from .numerics import normal_quantile
 
 __all__ = [
     "PHI_CLAMP",
     "Scheduler",
-    "TightenedConstraint",
     "sigma_of_t",
     "tighten_linear",
     "tighten_quadratic",
@@ -60,54 +63,6 @@ class Scheduler:
         return (t / 2.0) ** self.n
 
 
-@dataclass(frozen=True)
-class TightenedConstraint:
-    """Per-step enforceable constraint on x_t.
-
-    kind 'linear': a.x <= rhs; kind 'quadratic_band': |a.x| <= rhs; kind
-    'inactive': nothing is enforced this step (either the scheduler floor or
-    an unsatisfiable quadratic margin).
-    """
-
-    kind: str
-    a: np.ndarray | None = None
-    rhs: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "quadratic_band", "inactive"):
-            raise ValueError(f"unknown tightened-constraint kind {self.kind!r}")
-        if self.kind != "inactive":
-            a = np.asarray(self.a, dtype=float)
-            if a.ndim != 1 or np.linalg.norm(a) == 0.0:
-                raise ValueError("tightened constraint needs a nonzero direction")
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "rhs", float(self.rhs))
-
-    def violation(self, x: np.ndarray) -> float:
-        if self.kind == "inactive":
-            return 0.0
-        s = float(self.a @ x)
-        if self.kind == "linear":
-            return max(0.0, s - self.rhs)
-        return max(0.0, abs(s) - self.rhs)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Closed-form Euclidean projection onto the constraint."""
-        if self.kind == "inactive":
-            return np.array(x, dtype=float)
-        s = float(self.a @ x)
-        if self.kind == "linear":
-            target = min(s, self.rhs)
-        else:
-            target = min(max(s, -self.rhs), self.rhs)
-        if target == s:
-            return np.array(x, dtype=float)
-        return x + ((target - s) / float(self.a @ self.a)) * self.a
-
-
-_INACTIVE = TightenedConstraint(kind="inactive")
-
-
 def sigma_of_t(t: float) -> float:
     """Relative noise scale sigma(t) = (1 - t)/t of the state at time t."""
     t = float(t)
@@ -116,57 +71,72 @@ def sigma_of_t(t: float) -> float:
     return (1.0 - t) / t
 
 
-def tighten_linear(c: LinearIneq, t: float, satisfy_prob: float) -> TightenedConstraint:
+def tighten_linear(c: LinearIneq, t: float, satisfy_prob: float) -> LinearIneq:
     """Deterministic surrogate of P(a.x1 <= b) >= satisfy_prob at time t.
 
     Returns a.x_t <= t*b - t*sigma(t)*||a||*z with z the satisfy_prob normal
-    quantile; at t = 1 the margin term is exactly zero and the rhs is b.
+    quantile; at t = 1 the margin term is exactly zero and the bound is b.
     """
     t = float(t)
     sigma = sigma_of_t(t)
     z = normal_quantile(satisfy_prob)
     rhs = t * c.b - t * sigma * float(np.linalg.norm(c.a)) * z
-    return TightenedConstraint(kind="linear", a=c.a, rhs=rhs)
+    return LinearIneq(c.a, rhs)
 
 
-def tighten_quadratic(c: QuadIneq, t: float, satisfy_prob: float) -> TightenedConstraint:
+def tighten_quadratic(c: QuadIneq, t: float, satisfy_prob: float) -> LinearBand | None:
     """Deterministic surrogate of P((a.x1)^2 <= b) >= satisfy_prob at time t.
 
     Splits the risk over the two tails (z at (1 + p)/2) and enforces
     |a.x_t| <= t*(sqrt(b) - sigma*||a||*z). When the margin exceeds sqrt(b)
-    the band would be empty, so the step is marked inactive instead.
+    the band would be empty, so None is returned: nothing is enforced at
+    this step.
     """
     t = float(t)
     sigma = sigma_of_t(t)
     z = normal_quantile((1.0 + float(satisfy_prob)) / 2.0)
     half_width = math.sqrt(c.b) - sigma * float(np.linalg.norm(c.a)) * z
     if half_width < 0.0:
-        return _INACTIVE
-    return TightenedConstraint(kind="quadratic_band", a=c.a, rhs=t * half_width)
+        return None
+    rhs = t * half_width
+    return LinearBand(c.a, -rhs, rhs)
 
 
-def _tighten_band(c: LinearBand, t: float, phi: float) -> list[TightenedConstraint]:
-    # Split the allowed risk evenly across the two sides of the slab.
+class TightenedConstraint(LinearIneq):
+    """Name of the former tightened-face type, kept only as a lookup site:
+    perfbench/spans.py hooks ``TightenedConstraint.project``. Tightening
+    returns plain LinearIneq and LinearBand members; nothing constructs this
+    class."""
+
+
+def _tighten_band(c: LinearBand, t: float, phi: float) -> tuple:
+    # Split the allowed risk evenly across the two sides of the slab. The
+    # sides stay two halfspaces, lower first as in the clean band's face
+    # order; that order is Dykstra's member cycle, which fixes its output
+    # bits.
     side_prob = (1.0 + phi) / 2.0
-    upper = tighten_linear(LinearIneq(c.a, c.hi), t, side_prob)
     lower = tighten_linear(LinearIneq(-c.a, -c.lo), t, side_prob)
-    if upper.rhs < -lower.rhs:
+    upper = tighten_linear(LinearIneq(c.a, c.hi), t, side_prob)
+    if upper.b < -lower.b:
         # The two tightened sides cross: no state can satisfy both, so the
         # band is unenforceable at this step (same treatment as the
         # quadratic feasibility condition).
-        return [_INACTIVE, _INACTIVE]
-    return [lower, upper]
+        return ()
+    return lower, upper
 
 
 def tighten_set(cs: ConstraintSet, t: float, scheduler: Scheduler, mode: str,
-                x0: np.ndarray | None = None):
-    """Per-step enforceable constraints on x_t for the whole set.
+                x0: np.ndarray | None = None) -> ConstraintSet:
+    """The per-step enforceable set on x_t, as a ConstraintSet with cs.tol.
 
-    mode 'marginal' returns a list of TightenedConstraint built from the
-    probabilistic reformulations with satisfy_prob = clamp(phi(t)); only
-    linear, band, and quadratic kinds admit one. mode 'pathwise' returns the
-    exact time-t set (1-t) x0 + t C as a ConstraintSet of the same kinds,
-    using the realized x0.
+    mode 'marginal' applies the probabilistic reformulations with
+    satisfy_prob = clamp(phi(t)); only linear, band, and quadratic kinds
+    admit one. A halfspace tightens to a halfspace, a band to its two sides
+    as halfspaces, and a quadratic to a symmetric band. Faces with nothing
+    enforceable this step are left out: all of them below the probability
+    floor, a band whose tightened sides cross, and a quadratic whose margin
+    exceeds its radius. mode 'pathwise' returns the exact time-t set
+    (1-t) x0 + t C, member for member, using the realized x0.
     """
     t = float(t)
     if mode == "marginal":
@@ -177,17 +147,19 @@ def tighten_set(cs: ConstraintSet, t: float, scheduler: Scheduler, mode: str,
                     "use pathwise mode")
         phi = scheduler.phi(t)
         if phi < PHI_CLAMP:
-            return [_INACTIVE for c in cs.members for _ in range(c.n_faces)]
+            return ConstraintSet((), tol=cs.tol)
         phi = min(phi, 1.0 - PHI_CLAMP)
-        out: list[TightenedConstraint] = []
+        out = []
         for c in cs.members:
             if isinstance(c, LinearIneq):
                 out.append(tighten_linear(c, t, phi))
             elif isinstance(c, LinearBand):
                 out.extend(_tighten_band(c, t, phi))
             else:
-                out.append(tighten_quadratic(c, t, phi))
-        return out
+                band = tighten_quadratic(c, t, phi)
+                if band is not None:
+                    out.append(band)
+        return ConstraintSet(tuple(out), tol=cs.tol)
     if mode == "pathwise":
         if x0 is None:
             raise ValueError("pathwise tightening requires the realized x0")
@@ -215,8 +187,8 @@ def _transport(c, t: float, x0: np.ndarray):
         g, grad = c.g, c.grad
         return SmoothScalar(
             c.dim,
-            lambda x, _g=g, _t=t, _x0=x0: _g(affine_map(x, _x0, _t)),
-            lambda x, _gr=grad, _t=t, _x0=x0: np.asarray(_gr(affine_map(x, _x0, _t))) / _t,
+            lambda x, _g=g, _t=t, _x0=x0: _g(recover_x1(x, _x0, _t)),
+            lambda x, _gr=grad, _t=t, _x0=x0: np.asarray(_gr(recover_x1(x, _x0, _t))) / _t,
             name=c.name,
             validate=False,
             n_faces=c.n_faces,

@@ -9,7 +9,7 @@ Sections and keys::
     [experiment]  id, seed, samples, tol
     [model]       kind = mixture | empirical | reaction_diffusion, + params
     [sampler]     algorithm (one or more), stepper, steps, scheduler_n, mode,
-                  gn_iters, gn_damping, final_budget, eci_events, pocs_cycles
+                  gn_iters, gn_damping, final_budget, eci_events
     [constraint.K] kind = halfspace | band | quadratic | min_distance, + params
     [metrics]     reference (path | rejection | simulation),
                   reference_samples, n_projections
@@ -46,8 +46,7 @@ _SECTION_KEYS = {
     "model": {"kind", "means", "scales", "weights", "path", "n_s", "n_t",
               "dt_phys", "nu", "rho", "delta", "train_fields", "data_seed"},
     "sampler": {"algorithm", "stepper", "steps", "scheduler_n", "mode",
-                "gn_iters", "gn_damping", "final_budget", "eci_events",
-                "pocs_cycles"},
+                "gn_iters", "gn_damping", "final_budget", "eci_events"},
     "metrics": {"reference", "reference_samples", "n_projections"},
     "output": {"csv", "figures", "figure_samples"},
 }
@@ -239,7 +238,6 @@ def parse_config(path) -> ExperimentConfig:
         "gn_damping": sampler.get_typed("gn_damping", float, default=1e-6),
         "final_budget": sampler.get_typed("final_budget", int, default=30),
         "eci_events": sampler.get_typed("eci_events", int, default=2),
-        "pocs_cycles": sampler.get_typed("pocs_cycles", int, default=500),
     }
 
     reference = metrics.get("reference",
@@ -298,7 +296,6 @@ def make_sampler_config(cfg: ExperimentConfig, algorithm: str,
         seed=seed,
         samples=cfg.samples,
         eci_events=s["eci_events"],
-        pocs_cycles=s["pocs_cycles"],
     )
 
 

@@ -24,8 +24,6 @@ __all__ = [
     "FlowModel",
     "interpolate",
     "recover_x1",
-    "affine_map",
-    "exact_velocity",
     "load_matrix",
 ]
 
@@ -157,7 +155,11 @@ def interpolate(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
 
 
 def recover_x1(x_t: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
-    """Invert the path for the endpoint: x1 = x_t / t - (1 - t)/t x0, t > 0."""
+    """Invert the path for the endpoint: x1 = x_t / t - (1 - t)/t x0, t > 0.
+
+    This is the path-inverting affine map M_t(x) = (x - (1 - t) x0) / t that
+    the pathwise constraint transport composes constraints with.
+    """
     t = float(t)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"recovery requires 0 < t <= 1, got {t!r}")
@@ -166,20 +168,6 @@ def recover_x1(x_t: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
     if x_t.shape != x0.shape:
         raise ValueError(f"state shapes differ: {x_t.shape} vs {x0.shape}")
     return x_t / t - (1.0 - t) / t * x0
-
-
-def affine_map(x: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
-    """The path-inverting affine map M_t(x) = (x - (1 - t) x0) / t.
-
-    Identical to recover_x1 as a function; kept as its own name because the
-    pathwise constraint transport composes constraints with this map.
-    """
-    return recover_x1(x, x0, t)
-
-
-def exact_velocity(model: FlowModel, x: np.ndarray, t: float) -> np.ndarray:
-    """Module-level alias for FlowModel.velocity."""
-    return model.velocity(x, t)
 
 
 def load_matrix(path) -> np.ndarray:

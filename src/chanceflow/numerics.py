@@ -18,7 +18,6 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "stream_rng",
-    "sample_std_normal",
     "solve_spd",
 ]
 
@@ -90,13 +89,6 @@ def stream_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
     stream_id = int(stream_id) & 0xFFFFFFFFFFFFFFFF
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=[seed, stream_id])))
-
-
-def sample_std_normal(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Draw one standard normal vector of dimension d."""
-    if d <= 0:
-        raise ValueError(f"dimension must be positive, got {d}")
-    return rng.standard_normal(d)
 
 
 def solve_spd(a: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -11,6 +11,10 @@ sets use a ridge-regularized Gauss-Newton active-set iteration,
 with hinge residuals r and the active-face Jacobian J recomputed every
 iteration; the same iteration with a fixed budget serves as the strict
 terminal refinement.
+
+project(x, cs, gn) is the one place that chooses among them. Clean,
+tightened and transported sets are all ConstraintSets, so every per-step
+correction of every sampler goes through it.
 """
 
 from __future__ import annotations
@@ -19,18 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chance import TightenedConstraint
-from .constraints import (ConstraintSet, LinearBand, LinearIneq,
-                          jacobian_active, max_violation)
+from .constraints import ConstraintSet, jacobian_active
 from .errors import GradientSingularityError
-from .flow import affine_map, interpolate
+from .flow import interpolate, recover_x1
 from .numerics import solve_spd, stream_rng
 
 __all__ = [
     "GnConfig",
     "ProjectionReport",
-    "project_linear",
-    "project_band",
+    "project",
     "project_pocs",
     "gauss_newton_project",
     "final_refine",
@@ -48,7 +49,6 @@ class GnConfig:
     lam: float = 1e-6
     max_iters: int = 30
     tol: float = 1e-10
-    step_cap: float | None = None
 
     def __post_init__(self):
         if not self.lam > 0.0:
@@ -75,46 +75,24 @@ class ProjectionReport:
     history: tuple = ()
 
 
-def project_linear(x: np.ndarray, c) -> np.ndarray:
-    """Closed-form projection onto a halfspace a.x <= b."""
-    if isinstance(c, TightenedConstraint):
-        if c.kind != "linear":
-            raise ValueError(f"expected a linear tightened constraint, got kind {c.kind!r}")
-        return c.project(np.asarray(x, dtype=float))
-    if isinstance(c, LinearIneq):
-        return c.project(np.asarray(x, dtype=float))
-    raise TypeError(f"no closed-form halfspace projection for {type(c).__name__}")
+def project(x: np.ndarray, cs: ConstraintSet, gn: GnConfig = GnConfig()) -> np.ndarray:
+    """Projection onto cs, by the cheapest exact route it admits.
+
+    An empty set returns x; a single closed-form member projects in closed
+    form; an intersection of closed-form members goes through Dykstra's
+    cyclic projection; any other set takes the configured Gauss-Newton pass.
+    """
+    if not cs.members:
+        return x
+    if cs.all_closed_form:
+        if len(cs.members) == 1:
+            return cs.members[0].project(x)
+        return project_pocs(x, cs.members, _POCS_CYCLES, cs.tol).x_out
+    return gauss_newton_project(x, cs, gn).x_out
 
 
-def project_band(x: np.ndarray, band) -> np.ndarray:
-    """Closed-form projection onto a slab (lo <= a.x <= hi or |a.x| <= rhs)."""
-    if isinstance(band, TightenedConstraint):
-        if band.kind != "quadratic_band":
-            raise ValueError(f"expected a band tightened constraint, got kind {band.kind!r}")
-        return band.project(np.asarray(x, dtype=float))
-    if isinstance(band, LinearBand):
-        return band.project(np.asarray(x, dtype=float))
-    raise TypeError(f"no closed-form slab projection for {type(band).__name__}")
-
-
-def _pocs_members(constraints):
-    members = []
-    for c in constraints:
-        if isinstance(c, TightenedConstraint):
-            if c.kind != "inactive":
-                members.append(c)
-        elif isinstance(c, (LinearIneq, LinearBand)):
-            members.append(c)
-        else:
-            raise TypeError(
-                f"{type(c).__name__} has no closed-form projection; use gauss_newton_project")
-    return members
-
-
-def _pocs_violation(c, x: np.ndarray) -> float:
-    if isinstance(c, TightenedConstraint):
-        return c.violation(x)
-    return float(np.maximum(0.0, c.face_values(x)).max())
+def _pocs_violation(members, x: np.ndarray) -> float:
+    return max(0.0, max(float(c.face_values(x).max()) for c in members))
 
 
 def project_pocs(x: np.ndarray, constraints, max_cycles: int = _POCS_CYCLES,
@@ -127,20 +105,24 @@ def project_pocs(x: np.ndarray, constraints, max_cycles: int = _POCS_CYCLES,
     max_cycles is reported, not raised.
     """
     x0 = np.asarray(x, dtype=float)
-    members = _pocs_members(constraints)
+    members = list(constraints)
+    for c in members:
+        if not c.has_closed_projection:
+            raise TypeError(
+                f"{type(c).__name__} has no closed-form projection; use gauss_newton_project")
     if not members:
         return ProjectionReport(x0.copy(), 0, 0.0, True, (0.0,))
     cur = x0.copy()
     corrections = [np.zeros_like(cur) for _ in members]
     history = []
-    viol = max(_pocs_violation(c, cur) for c in members)
+    viol = _pocs_violation(members, cur)
     for cycle in range(1, int(max_cycles) + 1):
         prev = cur
         for i, c in enumerate(members):
             shifted = cur + corrections[i]
             cur = c.project(shifted)
             corrections[i] = shifted - cur
-        viol = max(_pocs_violation(c, cur) for c in members)
+        viol = _pocs_violation(members, cur)
         history.append(viol)
         if viol <= tol and np.linalg.norm(cur - prev) <= tol * (1.0 + np.linalg.norm(cur)):
             return ProjectionReport(cur, cycle, viol, True, tuple(history))
@@ -183,10 +165,6 @@ def gauss_newton_project(x: np.ndarray, cs: ConstraintSet,
         schur = jac @ jac.T + cfg.lam * np.eye(len(active))
         y = solve_spd(schur, r)
         dx = -(jac.T @ y)
-        if cfg.step_cap is not None:
-            step = float(np.linalg.norm(dx))
-            if step > cfg.step_cap:
-                dx *= cfg.step_cap / step
         x = x + dx
         iterations += 1
 
@@ -218,10 +196,11 @@ def project_decomposed(x: np.ndarray, x0: np.ndarray, t: float, cs: ConstraintSe
                        cfg: GnConfig = GnConfig()) -> np.ndarray:
     """Projection onto the time-t feasible set (1-t) x0 + t C.
 
-    Exploits the path decomposition: map the state to clean coordinates with
-    the inverse path map, project there (closed form when every member has
-    one, Gauss-Newton otherwise), and interpolate back. Equals the direct
-    Euclidean projection onto the transported set.
+    Exploits the path decomposition: pull the state back to clean
+    coordinates with the inverse path map, project there with project, and
+    interpolate back. Equals the direct Euclidean projection onto the
+    transported set. A state whose pull-back is already feasible is returned
+    as it is, not round-tripped through the path map.
     """
     t = float(t)
     if not 0.0 < t <= 1.0:
@@ -229,15 +208,7 @@ def project_decomposed(x: np.ndarray, x0: np.ndarray, t: float, cs: ConstraintSe
     x = np.asarray(x, dtype=float)
     if not cs.members:
         return x.copy()
-    z = affine_map(x, x0, t)
-    vals = cs.face_values(z)
-    if float(vals.max()) <= 0.0:
+    z = recover_x1(x, x0, t)
+    if float(cs.face_values(z).max()) <= 0.0:
         return x.copy()
-    if cs.all_closed_form:
-        if len(cs.members) == 1:
-            z1 = cs.members[0].project(z)
-        else:
-            z1 = project_pocs(z, cs.members, max_cycles=_POCS_CYCLES, tol=cs.tol).x_out
-    else:
-        z1 = gauss_newton_project(z, cs, cfg).x_out
-    return interpolate(np.asarray(x0, dtype=float), z1, t)
+    return interpolate(np.asarray(x0, dtype=float), project(z, cs, cfg), t)

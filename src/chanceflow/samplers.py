@@ -2,11 +2,14 @@
 per-step projection onto the clean set, extrapolate-correct-interpolate, and
 chance-constrained projection with a probabilistic schedule.
 
-All samplers integrate the same velocity field on the uniform grid
-t_k = k/N and differ only in how (and whether) they correct intermediate
-states. Each sample is a pure function of (model, constraints, config,
-sample index): the index selects an RNG stream, so batches are reproducible
-bitwise regardless of execution order or thread count.
+All samplers run one loop over the uniform grid t_k = k/N and differ in two
+places only: the predictor (a stepper move, or eci's endpoint
+extrapolation) and the correction (none, projection onto the clean set,
+onto the marginal tightened set of step k, or onto the transported set).
+Every correction goes through the same projection dispatch. Each sample is
+a pure function of (model, constraints, config, sample index): the index
+selects an RNG stream, so batches are reproducible bitwise regardless of
+execution order or thread count.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ import numpy as np
 from .chance import Scheduler, tighten_set
 from .constraints import ConstraintSet, max_violation
 from .flow import FlowModel, interpolate
-from .numerics import sample_std_normal, stream_rng
-from .projection import (GnConfig, final_refine, gauss_newton_project,
-                         project_decomposed, project_pocs)
+from .numerics import stream_rng
+# project_pocs and gauss_newton_project are reached through project; they
+# stay importable here because perfbench/spans.py hooks them at this site.
+from .projection import (GnConfig, final_refine, gauss_newton_project,  # noqa: F401
+                         project, project_decomposed, project_pocs)
 
 __all__ = [
     "SamplerConfig",
@@ -48,8 +53,7 @@ class SamplerConfig:
 
     gn controls the per-step correction (default: a single Gauss-Newton
     update, the final refinement has its own budget); eci_events is the
-    number of noise-resampling events for the eci algorithm; pocs_cycles
-    bounds the cyclic projection used for multi-constraint closed forms.
+    number of noise-resampling events for the eci algorithm.
     """
 
     algorithm: str = "ccfm"
@@ -62,7 +66,6 @@ class SamplerConfig:
     seed: int = 0
     samples: int = 1
     eci_events: int = 2
-    pocs_cycles: int = 500
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -137,34 +140,68 @@ def _time_grid(n_steps: int) -> np.ndarray:
     return np.arange(n_steps + 1) / n_steps
 
 
-def _project_clean(x: np.ndarray, cs: ConstraintSet, cfg: SamplerConfig) -> np.ndarray:
-    """Projection onto the clean set: exact for halfspace/slab intersections,
-    one configured Gauss-Newton pass otherwise."""
-    if not cs.members:
-        return x
-    if cs.all_closed_form:
-        if len(cs.members) == 1:
-            return cs.members[0].project(x)
-        return project_pocs(x, cs.members, cfg.pocs_cycles, cs.tol).x_out
-    return gauss_newton_project(x, cs, cfg.gn).x_out
+def _marginal_schedule(cs: ConstraintSet, cfg: SamplerConfig) -> tuple:
+    """The marginal tightened sets at t_1..t_N. They depend on t alone, so a
+    batch computes them once and every sample projects onto the same sets."""
+    ts = _time_grid(cfg.n_steps)
+    return tuple(tighten_set(cs, t, cfg.scheduler, "marginal") for t in ts[1:])
 
 
-def _finish(cs, cfg, x0, states, moves, viols, started) -> SampleRecord:
-    x1 = states[-1]
+def _sample(model: FlowModel, cs: ConstraintSet | None, cfg: SamplerConfig,
+            sample_index: int, correct=None, extrapolate: bool = False) -> SampleRecord:
+    """The sampling loop shared by all four algorithms: predict, correct, record.
+
+    The prediction is a stepper move from t_k to t_{k+1}, or, with
+    extrapolate, eci's one-shot endpoint x + (1 - t_k) u; after correction
+    that endpoint is re-interpolated at t_{k+1} against x0, or against fresh
+    noise from the sample's stream at the resampling events.
+    correct(pred, x0, k) returns the corrected prediction and the length of
+    its move is recorded. The clean set cs (None for vanilla) is what the
+    per-step violations are measured against and what the final refinement
+    enforces.
+    """
+    started = time.perf_counter()
+    step = _STEPPERS[cfg.stepper]
+    rng = stream_rng(cfg.seed, sample_index)
+    x0 = rng.standard_normal(model.dim)
+    ts = _time_grid(cfg.n_steps)
+    period = math.ceil(cfg.n_steps / cfg.eci_events) if cfg.eci_events > 0 else None
+    x = x0.copy()
+    states = [x0.copy()]
+    moves = np.zeros(cfg.n_steps)
+    viols = np.zeros(cfg.n_steps)
+    for k in range(cfg.n_steps):
+        t, t_next = ts[k], ts[k + 1]
+        if extrapolate:
+            x = pred = x + (1.0 - t) * model.velocity(x, t)
+        else:
+            x = pred = step(model, x, t, t_next - t)
+        if correct is not None:
+            x = correct(pred, x0, k)
+            moves[k] = float(np.linalg.norm(x - pred))
+        if extrapolate:
+            if period is not None and (k + 1) % period == 0:
+                noise = rng.standard_normal(model.dim)
+            else:
+                noise = x0
+            x = interpolate(noise, x, t_next)
+        if cs is not None:
+            viols[k] = max_violation(cs, x)
+        states.append(x)
+
     converged = True
     final_viol = 0.0
     if cs is not None and cs.members:
-        report = final_refine(x1, cs, cfg.final_budget)
-        x1 = report.x_out
-        states[-1] = x1
+        report = final_refine(states[-1], cs, cfg.final_budget)
+        states[-1] = report.x_out
         converged = report.converged
         final_viol = report.final_max_violation
     return SampleRecord(
         x0=x0,
         states=np.stack(states),
-        x1=x1,
-        per_step_violation=np.asarray(viols),
-        projection_moves=np.asarray(moves),
+        x1=states[-1],
+        per_step_violation=viols,
+        projection_moves=moves,
         wall_time=time.perf_counter() - started,
         refine_converged=converged,
         final_violation=final_viol,
@@ -173,18 +210,7 @@ def _finish(cs, cfg, x0, states, moves, viols, started) -> SampleRecord:
 
 def sample_vanilla(model: FlowModel, cfg: SamplerConfig, sample_index: int = 0) -> SampleRecord:
     """Integrate the flow with no correction at all."""
-    started = time.perf_counter()
-    step = _STEPPERS[cfg.stepper]
-    rng = stream_rng(cfg.seed, sample_index)
-    x0 = sample_std_normal(rng, model.dim)
-    ts = _time_grid(cfg.n_steps)
-    x = x0.copy()
-    states = [x0.copy()]
-    for k in range(cfg.n_steps):
-        x = step(model, x, ts[k], ts[k + 1] - ts[k])
-        states.append(x)
-    zeros = np.zeros(cfg.n_steps)
-    return _finish(None, cfg, x0, states, zeros, zeros.copy(), started)
+    return _sample(model, None, cfg, sample_index)
 
 
 def sample_repeated(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
@@ -195,23 +221,8 @@ def sample_repeated(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
     guarantees per-step feasibility for convex closed-form kinds but drags
     early states onto a set meant for t = 1.
     """
-    started = time.perf_counter()
-    step = _STEPPERS[cfg.stepper]
-    rng = stream_rng(cfg.seed, sample_index)
-    x0 = sample_std_normal(rng, model.dim)
-    ts = _time_grid(cfg.n_steps)
-    x = x0.copy()
-    states = [x0.copy()]
-    moves = np.zeros(cfg.n_steps)
-    viols = np.zeros(cfg.n_steps)
-    for k in range(cfg.n_steps):
-        x = step(model, x, ts[k], ts[k + 1] - ts[k])
-        projected = _project_clean(x, cs, cfg)
-        moves[k] = float(np.linalg.norm(projected - x))
-        x = projected
-        viols[k] = max_violation(cs, x)
-        states.append(x)
-    return _finish(cs, cfg, x0, states, moves, viols, started)
+    return _sample(model, cs, cfg, sample_index,
+                   lambda x, x0, k: project(x, cs, cfg.gn))
 
 
 def sample_eci(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
@@ -224,76 +235,32 @@ def sample_eci(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
     the configured resampling events, where fresh noise is drawn from the
     sample's own stream.
     """
-    started = time.perf_counter()
-    rng = stream_rng(cfg.seed, sample_index)
-    x0 = sample_std_normal(rng, model.dim)
-    ts = _time_grid(cfg.n_steps)
-    period = math.ceil(cfg.n_steps / cfg.eci_events) if cfg.eci_events > 0 else None
-    x = x0.copy()
-    states = [x0.copy()]
-    moves = np.zeros(cfg.n_steps)
-    viols = np.zeros(cfg.n_steps)
-    for k in range(cfg.n_steps):
-        t = ts[k]
-        xhat = x + (1.0 - t) * model.velocity(x, t)
-        corrected = _project_clean(xhat, cs, cfg)
-        moves[k] = float(np.linalg.norm(corrected - xhat))
-        if period is not None and (k + 1) % period == 0:
-            noise = sample_std_normal(rng, model.dim)
-        else:
-            noise = x0
-        x = interpolate(noise, corrected, ts[k + 1])
-        viols[k] = max_violation(cs, x)
-        states.append(x)
-    return _finish(cs, cfg, x0, states, moves, viols, started)
+    return _sample(model, cs, cfg, sample_index,
+                   lambda x, x0, k: project(x, cs, cfg.gn), extrapolate=True)
 
 
 def sample_ccfm(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
-                sample_index: int = 0) -> SampleRecord:
+                sample_index: int = 0, *, _schedule: tuple | None = None) -> SampleRecord:
     """Chance-constrained sampling: step, then project onto the tightened set.
 
     After each step the constraints are tightened at the post-step time —
-    marginal mode applies the quantile reformulations with satisfy
-    probability phi(t) and projects in closed form; pathwise mode projects
-    onto the exact transported set (1-t) x0 + t C. At t = 1 the tightenings
-    degenerate to the originals, and a final refinement enforces strict
-    terminal feasibility.
+    marginal mode projects onto the quantile reformulation with satisfy
+    probability phi(t) (built here for t_1..t_N; run_batch passes its
+    batch-wide tuple as _schedule); pathwise mode projects onto the exact
+    transported set (1-t) x0 + t C. At t = 1 the tightenings degenerate to
+    the originals, and a final refinement enforces strict terminal
+    feasibility.
     """
-    started = time.perf_counter()
-    if cfg.mode == "marginal":
-        # Fail before any stepping if some kind has no marginal reformulation.
-        tighten_set(cs, 1.0, cfg.scheduler, "marginal")
-    step = _STEPPERS[cfg.stepper]
-    rng = stream_rng(cfg.seed, sample_index)
-    x0 = sample_std_normal(rng, model.dim)
-    ts = _time_grid(cfg.n_steps)
-    x = x0.copy()
-    states = [x0.copy()]
-    moves = np.zeros(cfg.n_steps)
-    viols = np.zeros(cfg.n_steps)
-    for k in range(cfg.n_steps):
-        x = step(model, x, ts[k], ts[k + 1] - ts[k])
-        t_next = ts[k + 1]
-        if cs.members:
-            if cfg.mode == "marginal":
-                tightened = [tc for tc in tighten_set(cs, t_next, cfg.scheduler, "marginal")
-                             if tc.kind != "inactive"]
-                if len(tightened) == 1:
-                    projected = tightened[0].project(x)
-                elif tightened:
-                    projected = project_pocs(x, tightened, cfg.pocs_cycles, cs.tol).x_out
-                else:
-                    projected = x
-            else:
-                projected = project_decomposed(x, x0, t_next, cs, cfg.gn)
-            moves[k] = float(np.linalg.norm(projected - x))
-            x = projected
-        viols[k] = max_violation(cs, x)
-        states.append(x)
-    return _finish(cs, cfg, x0, states, moves, viols, started)
+    if cfg.mode == "pathwise":
+        ts = _time_grid(cfg.n_steps)
+        return _sample(model, cs, cfg, sample_index,
+                       lambda x, x0, k: project_decomposed(x, x0, ts[k + 1], cs, cfg.gn))
+    schedule = _schedule if _schedule is not None else _marginal_schedule(cs, cfg)
+    return _sample(model, cs, cfg, sample_index,
+                   lambda x, x0, k: project(x, schedule[k], cfg.gn))
 
 
-def _one_sample(model, cs, cfg, index: int) -> SampleRecord:
+def _one_sample(model, cs, cfg, index: int, schedule) -> SampleRecord:
     if cfg.algorithm == "vanilla":
         return sample_vanilla(model, cfg, index)
     if cs is None:
@@ -302,7 +269,7 @@ def _one_sample(model, cs, cfg, index: int) -> SampleRecord:
         return sample_repeated(model, cs, cfg, index)
     if cfg.algorithm == "eci":
         return sample_eci(model, cs, cfg, index)
-    return sample_ccfm(model, cs, cfg, index)
+    return sample_ccfm(model, cs, cfg, index, _schedule=schedule)
 
 
 def run_batch(model: FlowModel, cs: ConstraintSet | None, cfg: SamplerConfig,
@@ -310,10 +277,14 @@ def run_batch(model: FlowModel, cs: ConstraintSet | None, cfg: SamplerConfig,
     """Generate cfg.samples records, optionally across worker threads.
 
     Records are keyed by sample index and each index owns its RNG stream, so
-    the output is identical for any thread count.
+    the output is identical for any thread count. Marginal ccfm tightens the
+    set once per grid time for the whole batch.
     """
+    schedule = None
+    if cfg.algorithm == "ccfm" and cfg.mode == "marginal" and cs is not None:
+        schedule = _marginal_schedule(cs, cfg)
     indices = range(cfg.samples)
     if threads <= 1:
-        return [_one_sample(model, cs, cfg, i) for i in indices]
+        return [_one_sample(model, cs, cfg, i, schedule) for i in indices]
     with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(lambda i: _one_sample(model, cs, cfg, i), indices))
+        return list(pool.map(lambda i: _one_sample(model, cs, cfg, i, schedule), indices))

@@ -16,7 +16,7 @@ from .chance import Scheduler, tighten_linear, tighten_set
 from .constraints import (ConstraintSet, LinearBand, LinearIneq, MinDistance,
                           QuadIneq, max_violation)
 from .flow import (EmpiricalTarget, FlowModel, GaussianMixtureTarget,
-                   affine_map, interpolate)
+                   interpolate, recover_x1)
 from .numerics import normal_cdf, normal_quantile, solve_spd, stream_rng
 from .oracles import (BruteForceConfig, brute_force_project,
                       halfspace_qp_project, mc_chance, sliced_w2)
@@ -82,7 +82,7 @@ def tightened_boundary_hits_target_probability():
     c = LinearIneq(np.array([1.0, 2.0]), 0.7)
     t, prob = 0.5, 0.9
     tc = tighten_linear(c, t, prob)
-    x_t = tc.rhs * c.a / float(c.a @ c.a)
+    x_t = tc.b * c.a / float(c.a @ c.a)
     est = mc_chance(c, x_t, t, 200_000, stream_rng(13, 0))
     _assert(abs(est.p_hat - prob) <= 4 * est.stderr,
             f"MC probability {est.p_hat:.4f} vs target {prob}")
@@ -92,16 +92,16 @@ def tightened_boundary_hits_target_probability():
 def tightening_degenerates_at_t1():
     c = LinearIneq(np.array([0.3, -1.1, 0.4]), -0.25)
     tc = tighten_linear(c, 1.0, 0.99)
-    _assert(tc.rhs == c.b, "t=1 rhs differs from the deterministic bound")
+    _assert(tc.b == c.b, "t=1 bound differs from the deterministic bound")
     q = QuadIneq(np.array([1.0, 1.0, 0.0]), 2.0)
     sched = Scheduler(0.5)
-    twos = tighten_set(ConstraintSet((c, q)), 1.0, sched, "marginal")
-    _assert(twos[0].rhs == c.b and twos[1].rhs == math.sqrt(2.0) * 1.0,
+    half, band = tighten_set(ConstraintSet((c, q)), 1.0, sched, "marginal").members
+    _assert(half.b == c.b and band.hi == math.sqrt(2.0) and band.lo == -math.sqrt(2.0),
             "marginal set at t=1 is not the original set")
 
 
 @_check
-def affine_map_propagates_constraint_values():
+def recover_x1_propagates_constraint_values():
     rng = stream_rng(14, 0)
     c = QuadIneq(np.array([0.5, -0.3, 1.1]), 1.7)
     for _ in range(20):
@@ -109,7 +109,7 @@ def affine_map_propagates_constraint_values():
         g1 = c.face_values(x1)[0]
         for t in np.linspace(0.1, 1.0, 10):
             x_t = interpolate(x0, x1, t)
-            gt = c.face_values(affine_map(x_t, x0, t))[0]
+            gt = c.face_values(recover_x1(x_t, x0, t))[0]
             _assert(abs(gt - g1) <= 1e-12 * (1 + abs(g1)),
                     f"propagated value drifts at t={t}")
 

@@ -19,8 +19,9 @@ from chanceflow import (BruteForceConfig, ConstraintSet, FlowModel,
                         LinearIneq, MinDistance, QuadIneq, Scheduler,
                         SmoothScalar, SamplerConfig, brute_force_project,
                         feasibility_report, gauss_newton_project,
-                        interpolate, affine_map, max_violation, mc_chance,
-                        normal_quantile, project_decomposed, project_pocs,
+                        interpolate, max_violation, mc_chance,
+                        normal_quantile, project, project_decomposed,
+                        project_pocs, recover_x1,
                         rd_constraints, rejection_sample, run_batch,
                         sample_rd_problem, simulate_rd, stream_rng,
                         tighten_set, RdGrid, RdProblem)
@@ -59,7 +60,7 @@ def test_c01_tightened_boundary_hits_target_probability():
         prob = float(rng.choice(PROB_CHOICES))
         c = LinearIneq(a, b)
         tc = tighten_linear(c, t, prob)
-        x_t = tc.rhs * a / float(a @ a)
+        x_t = tc.b * a / float(a @ a)
         est = mc_chance(c, x_t, t, N_MC, stream_rng(102, i))
         worst = max(worst, abs(est.p_hat - prob) / est.stderr)
         assert abs(est.p_hat - prob) <= 3.0 * est.stderr
@@ -88,11 +89,11 @@ def test_c02_two_sided_tightening_conservative_everywhere_tight_at_center():
         crit = (sigma * float(np.linalg.norm(a)) * z) ** 2
         c = QuadIneq(a, crit * float(rng.uniform(1.2, 2.5)))
         tc = tighten_quadratic(c, t, prob)
-        assert tc.kind == "quadratic_band"
+        assert isinstance(tc, LinearBand) and tc.lo == -tc.hi
         ortho = rng.standard_normal(d)
         ortho -= (float(ortho @ a) / float(a @ a)) * a
         for k, lam in enumerate((-1.0, -0.5, 0.0, 0.5, 1.0)):
-            x_t = lam * tc.rhs * a / float(a @ a) + 0.3 * ortho
+            x_t = lam * tc.hi * a / float(a @ a) + 0.3 * ortho
             est = mc_chance(c, x_t, t, N_MC, stream_rng(104, 10 * i + k))
             floor_margin = min(floor_margin, (est.p_hat - prob) / est.stderr)
             assert est.p_hat >= prob - 3.0 * est.stderr
@@ -106,7 +107,7 @@ def test_c02_two_sided_tightening_conservative_everywhere_tight_at_center():
         z = normal_quantile((1.0 + prob) / 2.0)
         c = QuadIneq(a, (sigma * float(np.linalg.norm(a)) * z) ** 2)
         tc = tighten_quadratic(c, t, prob)
-        assert tc.kind == "inactive" or abs(tc.rhs) <= 1e-12  # collapsed band
+        assert tc is None or abs(tc.hi) <= 1e-12  # collapsed band
         est = mc_chance(c, np.zeros(d), t, N_MC, stream_rng(105, i))
         center_worst = max(center_worst, abs(est.p_hat - prob) / est.stderr)
         assert abs(est.p_hat - prob) <= 3.0 * est.stderr
@@ -123,15 +124,17 @@ def test_c03_tightening_degenerates_to_the_original_at_t1():
         a = random_direction(rng, d)
         sched = Scheduler(float(rng.uniform(0.25, 6.0)))
         b = float(rng.uniform(-2.0, 2.0))
-        lin = tighten_set(ConstraintSet((LinearIneq(a, b),)), 1.0, sched, "marginal")[0]
-        assert lin.rhs == b  # bitwise
+        (lin,) = tighten_set(ConstraintSet((LinearIneq(a, b),)), 1.0, sched,
+                             "marginal").members
+        assert lin.b == b  # bitwise
         lo, hi = sorted(rng.uniform(-2.0, 2.0, size=2))
         lower, upper = tighten_set(ConstraintSet((LinearBand(a, lo, hi),)),
-                                   1.0, sched, "marginal")
-        assert upper.rhs == hi and lower.rhs == -lo
+                                   1.0, sched, "marginal").members
+        assert upper.b == hi and lower.b == -lo
         qb = float(rng.uniform(0.1, 4.0))
-        quad = tighten_set(ConstraintSet((QuadIneq(a, qb),)), 1.0, sched, "marginal")[0]
-        assert quad.rhs == math.sqrt(qb)
+        (quad,) = tighten_set(ConstraintSet((QuadIneq(a, qb),)), 1.0, sched,
+                              "marginal").members
+        assert quad.hi == math.sqrt(qb) and quad.lo == -math.sqrt(qb)
 
     # The sampler's final correction (projection onto the t=1 tightened set)
     # must coincide with the plain Euclidean projection onto the clean set.
@@ -158,12 +161,7 @@ def test_c03_tightening_degenerates_to_the_original_at_t1():
                        LinearIneq(random_direction(rng, d), float(rng.uniform(-1, 1))))
             plain = project_pocs(x, members, tol=1e-12).x_out
         cs = ConstraintSet(members, tol=1e-12)
-        tightened = [tc for tc in tighten_set(cs, 1.0, sched, "marginal")
-                     if tc.kind != "inactive"]
-        if len(tightened) == 1:
-            final = tightened[0].project(x)
-        else:
-            final = project_pocs(x, tightened, tol=1e-12).x_out
+        final = project(x, tighten_set(cs, 1.0, sched, "marginal"))
         worst = max(worst, float(np.linalg.norm(final - plain)))
         assert np.linalg.norm(final - plain) <= 1e-12
     print(f"criterion 3 PASS: t=1 rhs bitwise-equal on 300 instances; final-step "
@@ -192,7 +190,7 @@ def test_c04_constraint_values_propagate_along_linear_paths():
             member = SmoothScalar(d, lambda y: float(y @ y) - 1.0, lambda y: 2.0 * y)
         want = member.face_values(x1)
         for t in grid:
-            got = member.face_values(affine_map(interpolate(x0, x1, t), x0, t))
+            got = member.face_values(recover_x1(interpolate(x0, x1, t), x0, t))
             diff = float(np.max(np.abs(got - want)))
             worst = max(worst, diff)
             assert diff <= 1e-12

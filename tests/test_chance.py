@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from chanceflow import (ConstraintSet, LinearBand, LinearIneq, QuadIneq,
-                        Scheduler, SmoothScalar, TightenedConstraint,
-                        affine_map, interpolate, mc_chance, normal_quantile,
-                        sigma_of_t, tighten_set)
+                        Scheduler, SmoothScalar, interpolate, mc_chance,
+                        normal_quantile, recover_x1, sigma_of_t, tighten_set)
 from chanceflow.chance import PHI_CLAMP, tighten_linear, tighten_quadratic
-from chanceflow.constraints import MinDistance
+from chanceflow.constraints import MinDistance, max_violation
 from chanceflow.numerics import stream_rng
 
 N_MC = 200_000
@@ -69,21 +68,23 @@ def test_sigma_rejects_t0():
 def test_linear_degenerates_at_t1_bitwise():
     c = LinearIneq(np.array([1.0, 0.0]), 2.0)
     for prob in (0.5, 0.9, 0.999):
-        assert tighten_linear(c, 1.0, prob).rhs == 2.0
+        assert tighten_linear(c, 1.0, prob).b == 2.0
 
 
 def test_linear_median_probability_keeps_scaled_bound():
     c = LinearIneq(np.array([1.0]), 1.0)
     out = tighten_linear(c, 0.5, 0.5)
-    assert out.rhs == pytest.approx(0.5, abs=1e-15)
+    assert out.b == pytest.approx(0.5, abs=1e-15)
 
 
 def test_linear_worked_example():
     c = LinearIneq(np.array([3.0, 4.0]), 2.0)
     out = tighten_linear(c, 0.5, 0.95)
     want = 1.0 - 0.5 * 1.0 * 5.0 * normal_quantile(0.95)
-    assert out.rhs == pytest.approx(want, abs=1e-15)
-    assert out.rhs == pytest.approx(-3.112134, abs=1e-6)
+    assert isinstance(out, LinearIneq)
+    assert np.array_equal(out.a, c.a)
+    assert out.b == pytest.approx(want, abs=1e-15)
+    assert out.b == pytest.approx(-3.112134, abs=1e-6)
 
 
 def test_linear_boundary_meets_probability_target():
@@ -93,7 +94,7 @@ def test_linear_boundary_meets_probability_target():
     c = LinearIneq(a, 2.0)
     t, prob = 0.5, 0.95
     out = tighten_linear(c, t, prob)
-    x_t = out.rhs * a / float(a @ a)
+    x_t = out.b * a / float(a @ a)
     est = mc_chance(c, x_t, t, N_MC, stream_rng(31, 0))
     assert est.p_hat >= prob - 3.0 * est.stderr
     # The linear reformulation is exact, so the estimate is two-sided tight.
@@ -107,9 +108,9 @@ def test_linear_monotone_approach_to_clean_bound():
     c = LinearIneq(np.array([2.0, 1.0]), 0.8)
     prob = 0.9
     ts = np.linspace(0.05, 1.0, 40)
-    gaps = [abs(tighten_linear(c, t, prob).rhs - c.b) for t in ts]
+    gaps = [abs(tighten_linear(c, t, prob).b - c.b) for t in ts]
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))
-    rhs = [tighten_linear(c, t, prob).rhs for t in ts]
+    rhs = [tighten_linear(c, t, prob).b for t in ts]
     assert all(a <= b for a, b in zip(rhs, rhs[1:]))
     assert all(r <= c.b for r in rhs)
 
@@ -120,23 +121,26 @@ def test_linear_monotone_approach_to_clean_bound():
 def test_quadratic_degenerates_at_t1():
     c = QuadIneq(np.array([1.0]), 4.0)
     out = tighten_quadratic(c, 1.0, 0.95)
-    assert out.kind == "quadratic_band"
-    assert out.rhs == 2.0
+    assert isinstance(out, LinearBand)
+    assert out.lo == -2.0 and out.hi == 2.0
 
 
 def test_quadratic_worked_example():
     c = QuadIneq(np.array([1.0]), 9.0)
     out = tighten_quadratic(c, 2.0 / 3.0, 0.95)
     want = (2.0 / 3.0) * (3.0 - 0.5 * normal_quantile(0.975))
-    assert out.rhs == pytest.approx(want, abs=1e-15)
-    assert out.rhs == pytest.approx(1.346679, abs=1e-6)
+    assert out.hi == pytest.approx(want, abs=1e-15)
+    assert out.hi == pytest.approx(1.346679, abs=1e-6)
+    assert out.lo == -out.hi
 
 
 def test_quadratic_infeasible_margin_goes_inactive():
     c = QuadIneq(np.array([1.0]), 0.01)
-    out = tighten_quadratic(c, 0.1, 0.95)
-    assert out.kind == "inactive"
-    assert out.violation(np.array([100.0])) == 0.0
+    assert tighten_quadratic(c, 0.1, 0.95) is None
+    # In a set the empty band is left out: nothing is enforced this step.
+    sched = Scheduler(0.01)
+    assert sched.phi(0.1) > 0.95
+    assert tighten_set(ConstraintSet((c,)), 0.1, sched, "marginal").members == ()
 
 
 def test_quadratic_boundary_is_conservative():
@@ -144,7 +148,7 @@ def test_quadratic_boundary_is_conservative():
     c = QuadIneq(a, 9.0)
     t, prob = 2.0 / 3.0, 0.95
     out = tighten_quadratic(c, t, prob)
-    x_t = np.array([out.rhs])  # on the upper edge of the band
+    x_t = np.array([out.hi])  # on the upper edge of the band
     est = mc_chance(c, x_t, t, N_MC, stream_rng(31, 1))
     assert est.p_hat >= prob - 3.0 * est.stderr
 
@@ -157,8 +161,8 @@ def test_quadratic_bound_tight_at_zero_mean():
     z = normal_quantile((1.0 + prob) / 2.0)
     c = QuadIneq(np.array([1.0]), (sigma * z) ** 2)
     out = tighten_quadratic(c, t, prob)
-    assert out.kind == "quadratic_band"
-    assert abs(out.rhs) <= 1e-12
+    assert isinstance(out, LinearBand)
+    assert abs(out.hi) <= 1e-12
     est = mc_chance(c, np.array([0.0]), t, N_MC, stream_rng(31, 2))
     assert abs(est.p_hat - prob) <= 3.0 * est.stderr
 
@@ -167,32 +171,49 @@ def test_quadratic_bound_tight_at_zero_mean():
 
 
 def test_marginal_empty_set_gives_empty_list():
-    assert tighten_set(ConstraintSet(()), 0.5, Scheduler(1.0), "marginal") == []
+    out = tighten_set(ConstraintSet((), tol=1e-6), 0.5, Scheduler(1.0), "marginal")
+    assert isinstance(out, ConstraintSet)
+    assert out.members == ()
+    assert out.tol == 1e-6
+
+
+def test_marginal_set_holds_only_halfspaces_and_bands_with_the_clean_tol():
+    cs = ConstraintSet((LinearIneq(np.array([1.0, 0.5]), 0.3),
+                        LinearBand(np.array([0.0, 1.0]), -2.0, 2.0),
+                        QuadIneq(np.array([1.0, 1.0]), 4.0)), tol=1e-7)
+    for t in (0.3, 0.7, 1.0):
+        out = tighten_set(cs, t, Scheduler(0.5), "marginal")
+        assert isinstance(out, ConstraintSet)
+        assert out.tol == cs.tol
+        assert [type(c) for c in out.members] == [LinearIneq, LinearIneq, LinearIneq, LinearBand]
+        assert out.all_closed_form
 
 
 def test_marginal_band_splits_risk_equally():
     band = LinearBand(np.array([1.0, 2.0]), -0.4, 0.9)
     sched = Scheduler(0.8)
     t = 0.7
-    out = tighten_set(ConstraintSet((band,)), t, sched, "marginal")
+    out = tighten_set(ConstraintSet((band,)), t, sched, "marginal").members
     assert len(out) == 2
     side = (1.0 + sched.phi(t)) / 2.0
     lower = tighten_linear(LinearIneq(-band.a, -band.lo), t, side)
     upper = tighten_linear(LinearIneq(band.a, band.hi), t, side)
-    assert out[0].rhs == lower.rhs
-    assert out[1].rhs == upper.rhs
+    # Two halfspaces, lower side first, as the clean band orders its faces.
+    assert np.array_equal(out[0].a, -band.a) and out[0].b == lower.b
+    assert np.array_equal(out[1].a, band.a) and out[1].b == upper.b
 
 
 def test_marginal_goes_inactive_below_probability_floor():
-    # phi(t) under the clamp floor means no quantile is defined; each face is
-    # explicitly inactive for the step.
+    # phi(t) under the clamp floor means no quantile is defined; every face is
+    # left out for the step.
     sched = Scheduler(4.0)
     t = 1e-3
     assert sched.phi(t) < PHI_CLAMP
     cs = ConstraintSet((LinearIneq(np.array([1.0]), 0.0),
                         LinearBand(np.array([1.0]), -1.0, 1.0)))
     out = tighten_set(cs, t, sched, "marginal")
-    assert [c.kind for c in out] == ["inactive"] * 3
+    assert out.members == ()
+    assert out.tol == cs.tol
 
 
 def test_marginal_rejects_unsupported_kinds():
@@ -247,7 +268,7 @@ def test_affine_map_propagates_constraint_values():
         x1 = rng.standard_normal(3)
         for t in np.linspace(0.05, 1.0, 12):
             x_t = interpolate(x0, x1, t)
-            lifted = g.face_values(affine_map(x_t, x0, t))[0]
+            lifted = g.face_values(recover_x1(x_t, x0, t))[0]
             assert abs(lifted - g.face_values(x1)[0]) <= 1e-12
 
 
@@ -260,7 +281,7 @@ def test_pathwise_smooth_scalar_transport_gradient():
     (member,) = moved.members
     x = np.array([0.3, 0.2])
     # value: g((x - (1-t) x0)/t); gradient: grad(g)(M_t(x)) / t  (chain rule)
-    y = affine_map(x, x0, t)
+    y = recover_x1(x, x0, t)
     assert member.face_values(x)[0] == pytest.approx(float(y @ y) - 1.0, abs=1e-12)
     assert np.allclose(member.face_gradient(x, 0), 2.0 * y / t, atol=1e-12)
 
@@ -276,7 +297,7 @@ def test_pathwise_multi_face_smooth_scalar_transport_gradient():
     assert member.n_faces == 2
     x = np.array([0.3, 0.2])
     # values: g((x - (1-t) x0)/t); Jacobian: J_g(M_t(x)) / t  (chain rule)
-    y = affine_map(x, x0, t)
+    y = recover_x1(x, x0, t)
     assert np.allclose(member.face_values(x), [float(y @ y) - 1.0, y[0] * y[1]],
                        rtol=0.0, atol=1e-12)
     assert np.allclose(member.jacobian(x), [2.0 * y / t, [y[1] / t, y[0] / t]],
@@ -294,30 +315,31 @@ def test_tighten_set_rejects_unknown_mode():
 
 
 def test_tightened_linear_projection():
-    tc = TightenedConstraint(kind="linear", a=np.array([0.0, 2.0]), rhs=1.0)
+    tc = tighten_linear(LinearIneq(np.array([0.0, 2.0]), 1.0), 1.0, 0.9)
     y = tc.project(np.array([3.0, 4.0]))
     assert np.allclose(y, [3.0, 0.5], atol=1e-14)
-    assert tc.violation(y) == 0.0
-    assert tc.violation(np.array([0.0, 1.0])) == pytest.approx(1.0)
+    assert max_violation(ConstraintSet((tc,)), y) == 0.0
+    assert tc.face_values(np.array([0.0, 1.0]))[0] == pytest.approx(1.0)
 
 
 def test_tightened_band_projection_clamps_both_sides():
-    tc = TightenedConstraint(kind="quadratic_band", a=np.array([1.0]), rhs=0.5)
+    tc = tighten_quadratic(QuadIneq(np.array([1.0]), 0.25), 1.0, 0.9)
     assert tc.project(np.array([2.0]))[0] == pytest.approx(0.5)
     assert tc.project(np.array([-2.0]))[0] == pytest.approx(-0.5)
     assert np.array_equal(tc.project(np.array([0.2])), [0.2])
 
 
 def test_tightened_constraint_validation():
+    # Tightened sets are built from the validated clean kinds.
     with pytest.raises(ValueError):
-        TightenedConstraint(kind="linear", a=np.zeros(2), rhs=0.0)
+        LinearIneq(np.zeros(2), 0.0)
     with pytest.raises(ValueError):
-        TightenedConstraint(kind="banded", a=np.array([1.0]), rhs=0.0)
+        LinearBand(np.array([1.0]), 0.5, -0.5)
 
 
 def test_crossing_band_sides_marked_inactive():
     # A narrow band with an aggressive probability can tighten past itself;
-    # both sides then report inactive rather than an empty feasible slab.
+    # both sides are then left out rather than forming an empty slab.
     band = LinearBand(np.array([1.0]), -1e-4, 1e-4)
     out = tighten_set(ConstraintSet((band,)), 0.5, Scheduler(0.01), "marginal")
-    assert [c.kind for c in out] == ["inactive", "inactive"]
+    assert out.members == ()

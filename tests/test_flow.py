@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from chanceflow import (EmpiricalTarget, FlowModel, GaussianMixtureTarget,
-                        affine_map, interpolate, load_matrix, recover_x1)
-from chanceflow.flow import T_CLAMP, exact_velocity
+                        interpolate, load_matrix, recover_x1)
+from chanceflow.flow import T_CLAMP
 from chanceflow.numerics import stream_rng
 
 
@@ -81,19 +81,20 @@ def test_path_inversion_across_time_grid():
 
 
 def test_affine_map_scalar_example():
-    assert affine_map(np.array([3.0]), np.array([2.0]), 0.5)[0] == pytest.approx(4.0)
+    # The path-inverting map M_t(x) = (x - (1 - t) x0) / t = (3 - 1) / 0.5.
+    assert recover_x1(np.array([3.0]), np.array([2.0]), 0.5)[0] == pytest.approx(4.0)
 
 
 def test_affine_map_fixes_x0():
     x0 = np.array([1.5, -0.5])
-    assert np.allclose(affine_map(x0, x0, 0.5), x0, atol=1e-14)
+    assert np.allclose(recover_x1(x0, x0, 0.5), x0, atol=1e-14)
 
 
 def test_affine_map_inverts_interpolation():
     rng = stream_rng(5, 2)
     x0, x1 = rng.standard_normal(6), rng.standard_normal(6)
     for t in (0.1, 0.5, 0.9):
-        assert np.allclose(affine_map(interpolate(x0, x1, t), x0, t), x1, atol=1e-12)
+        assert np.allclose(recover_x1(interpolate(x0, x1, t), x0, t), x1, atol=1e-12)
 
 
 # --- exact velocity ----------------------------------------------------------
@@ -101,13 +102,13 @@ def test_affine_map_inverts_interpolation():
 
 def test_velocity_single_atom_closed_form():
     model = FlowModel(EmpiricalTarget(np.array([[2.0]])))
-    assert exact_velocity(model, np.array([0.0]), 0.5) == pytest.approx(np.array([4.0]))
+    assert model.velocity(np.array([0.0]), 0.5) == pytest.approx(np.array([4.0]))
 
 
 def test_velocity_symmetric_atoms_vanishes_at_origin():
     model = FlowModel(EmpiricalTarget(np.array([[-1.0], [1.0]])))
     for t in (0.0, 0.3, 0.7, 0.95):
-        assert exact_velocity(model, np.array([0.0]), t) == pytest.approx(np.array([0.0]), abs=1e-14)
+        assert model.velocity(np.array([0.0]), t) == pytest.approx(np.array([0.0]), abs=1e-14)
 
 
 def test_velocity_three_atoms_matches_brute_force():

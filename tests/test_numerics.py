@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanceflow import NumericalError, normal_cdf, normal_quantile, solve_spd, stream_rng
-from chanceflow.numerics import sample_std_normal
 
 
 def erf_cdf(z: float) -> float:
@@ -74,29 +73,24 @@ def test_quantile_antisymmetry(p):
 
 
 def test_same_stream_replays_identically():
-    a = sample_std_normal(stream_rng(1234, 7), 2)
-    b = sample_std_normal(stream_rng(1234, 7), 2)
+    a = stream_rng(1234, 7).standard_normal(2)
+    b = stream_rng(1234, 7).standard_normal(2)
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = sample_std_normal(stream_rng(1234, 0), 8)
-    b = sample_std_normal(stream_rng(1234, 1), 8)
-    c = sample_std_normal(stream_rng(1235, 0), 8)
+    a = stream_rng(1234, 0).standard_normal(8)
+    b = stream_rng(1234, 1).standard_normal(8)
+    c = stream_rng(1235, 0).standard_normal(8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_std_normal_clt_bounds():
     n = 10**6
-    draws = sample_std_normal(stream_rng(2026, 0), n)
+    draws = stream_rng(2026, 0).standard_normal(n)
     assert abs(draws.mean()) <= 4.0 / math.sqrt(n)
     assert abs(draws.var() - 1.0) <= 0.01
-
-
-def test_sample_std_normal_rejects_bad_dimension():
-    with pytest.raises(ValueError):
-        sample_std_normal(stream_rng(0, 0), 0)
 
 
 # --- SPD solve --------------------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 
 from chanceflow import (ConstraintSet, GnConfig, LinearBand, LinearIneq,
                         MinDistance, QuadIneq, Scheduler, SmoothScalar,
-                        TightenedConstraint, affine_map, final_refine,
-                        gauss_newton_project, interpolate, max_violation,
-                        project_decomposed, project_pocs, tighten_set)
+                        final_refine, gauss_newton_project, interpolate,
+                        max_violation, project, project_decomposed,
+                        project_pocs, recover_x1, tighten_set)
+from chanceflow.chance import tighten_linear, tighten_quadratic
 from chanceflow.oracles import halfspace_qp_project
-from chanceflow.projection import project_band, project_linear
 from chanceflow.numerics import stream_rng
 from chanceflow.reaction_diffusion import (RdGrid, RdProblem, rd_constraints,
                                            simulate_rd)
@@ -21,47 +21,86 @@ from chanceflow.reaction_diffusion import (RdGrid, RdProblem, rd_constraints,
 
 def test_project_linear_axis_aligned():
     c = LinearIneq(np.array([1.0, 0.0]), 1.0)
-    assert np.array_equal(project_linear(np.array([2.0, 0.0]), c), [1.0, 0.0])
+    assert np.array_equal(c.project(np.array([2.0, 0.0])), [1.0, 0.0])
 
 
 def test_project_linear_interior_unchanged():
     c = LinearIneq(np.array([1.0, 0.0]), 1.0)
     x = np.array([0.0, 0.0])
-    assert np.array_equal(project_linear(x, c), x)
+    assert np.array_equal(c.project(x), x)
 
 
 def test_project_linear_full_retraction():
     c = LinearIneq(np.array([3.0, 4.0]), 0.0)
-    out = project_linear(np.array([3.0, 4.0]), c)
+    out = c.project(np.array([3.0, 4.0]))
     assert np.allclose(out, [0.0, 0.0], atol=1e-14)
 
 
 def test_project_linear_accepts_tightened_constraint():
-    tc = TightenedConstraint(kind="linear", a=np.array([1.0]), rhs=0.25)
-    assert project_linear(np.array([1.0]), tc)[0] == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        project_linear(np.array([1.0]),
-                       TightenedConstraint(kind="quadratic_band", a=np.array([1.0]), rhs=1.0))
+    # A tightened halfspace is a LinearIneq: a.x <= 0.5 * 0.5 at t = 0.5.
+    tc = tighten_linear(LinearIneq(np.array([1.0]), 0.5), 0.5, 0.5)
+    assert isinstance(tc, LinearIneq)
+    assert tc.project(np.array([1.0]))[0] == pytest.approx(0.25)
 
 
 def test_project_band_clips():
-    tc = TightenedConstraint(kind="quadratic_band", a=np.array([1.0]), rhs=2.0)
-    assert project_band(np.array([5.0]), tc)[0] == pytest.approx(2.0)
-    assert project_band(np.array([-5.0]), tc)[0] == pytest.approx(-2.0)
-    assert np.array_equal(project_band(np.array([1.0]), tc), [1.0])
+    # A tightened quadratic is the symmetric band |a.x| <= 2 at t = 1.
+    tc = tighten_quadratic(QuadIneq(np.array([1.0]), 4.0), 1.0, 0.9)
+    assert isinstance(tc, LinearBand)
+    assert tc.project(np.array([5.0]))[0] == pytest.approx(2.0)
+    assert tc.project(np.array([-5.0]))[0] == pytest.approx(-2.0)
+    assert np.array_equal(tc.project(np.array([1.0])), [1.0])
 
 
 def test_project_band_linear_band():
     band = LinearBand(np.array([0.0, 1.0]), -0.5, 0.5)
-    out = project_band(np.array([2.0, 3.0]), band)
+    out = band.project(np.array([2.0, 3.0]))
     assert np.allclose(out, [2.0, 0.5], atol=1e-14)
 
 
 def test_closed_forms_reject_foreign_types():
+    # Dykstra cycles only through members with a closed-form projection.
     with pytest.raises(TypeError):
-        project_linear(np.zeros(1), QuadIneq(np.array([1.0]), 1.0))
+        project_pocs(np.zeros(1), [QuadIneq(np.array([1.0]), 1.0)])
     with pytest.raises(TypeError):
-        project_band(np.zeros(1), LinearIneq(np.array([1.0]), 0.0))
+        project_pocs(np.zeros(2), [LinearIneq(np.array([1.0, 0.0]), 0.0),
+                                   MinDistance(np.zeros(2), 1.0)])
+
+
+# --- the projection dispatch ----------------------------------------------------
+
+
+_HALF = LinearIneq(np.array([1.0, 0.5, 0.0]), 0.2)
+_BAND = LinearBand(np.array([0.0, 1.0, -1.0]), -0.3, 0.4)
+_QUAD = QuadIneq(np.array([0.5, 0.0, 1.0]), 0.6)
+_SMOOTH = SmoothScalar(3, lambda x: float(x @ x) - 1.0, lambda x: 2.0 * x)
+
+
+@pytest.mark.parametrize("members, route", [
+    ((), "identity"),
+    ((_HALF,), "closed_form"),
+    ((_BAND,), "closed_form"),
+    ((_HALF, _BAND), "pocs"),
+    ((_HALF, _BAND, LinearIneq(np.array([0.0, 0.0, 1.0]), -0.1)), "pocs"),
+    ((_QUAD,), "gauss_newton"),
+    ((_HALF, _SMOOTH), "gauss_newton"),
+])
+def test_project_dispatch(members, route):
+    cs = ConstraintSet(members, tol=1e-9)
+    gn = GnConfig(max_iters=3)
+    rng = stream_rng(41, 6)
+    for _ in range(20):
+        x = 2.0 * rng.standard_normal(3)
+        got = project(x, cs, gn)
+        if route == "identity":
+            want = x
+        elif route == "closed_form":
+            want = members[0].project(x)
+        elif route == "pocs":
+            want = project_pocs(x, members, tol=cs.tol).x_out
+        else:
+            want = gauss_newton_project(x, cs, gn).x_out
+        assert np.array_equal(got, want)
 
 
 # --- cyclic projections ---------------------------------------------------------
@@ -71,7 +110,7 @@ def test_pocs_single_halfspace_matches_closed_form():
     c = LinearIneq(np.array([2.0, 1.0]), 0.3)
     x = np.array([1.5, 1.5])
     report = project_pocs(x, [c])
-    assert np.allclose(report.x_out, project_linear(x, c), atol=1e-12)
+    assert np.allclose(report.x_out, c.project(x), atol=1e-12)
     assert report.converged
 
 
@@ -130,7 +169,7 @@ def test_gn_single_halfspace_close_to_closed_form():
     x = np.array([2.0, 1.0])
     report = gauss_newton_project(x, cs, GnConfig(max_iters=1, tol=1e-12))
     # One ridge-regularized iteration lands within a lambda-sized perturbation.
-    assert np.linalg.norm(report.x_out - project_linear(x, c)) <= 1e-5
+    assert np.linalg.norm(report.x_out - c.project(x)) <= 1e-5
 
 
 def test_gn_min_distance_reaches_ring():
@@ -255,7 +294,7 @@ def test_decomposed_equals_projection_onto_transported_halfspace():
         t = rng.uniform(0.05, 1.0)
         got = project_decomposed(x, x0, t, cs)
         moved = tighten_set(cs, t, sched, "pathwise", x0=x0)
-        want = project_linear(x, moved.members[0])
+        want = moved.members[0].project(x)
         assert np.linalg.norm(got - want) <= 1e-10
 
 
@@ -266,7 +305,7 @@ def test_decomposed_construction_identity():
     x = np.array([1.0, 1.0])
     t = 0.6
     got = project_decomposed(x, x0, t, cs)
-    clean = cs.members[0].project(affine_map(x, x0, t))
+    clean = cs.members[0].project(recover_x1(x, x0, t))
     assert np.allclose(got, interpolate(x0, clean, t), atol=1e-12)
 
 
@@ -280,10 +319,10 @@ def test_projections_are_idempotent():
     ring = ConstraintSet((MinDistance(np.zeros(2), 1.0),))
     for _ in range(50):
         x = 3.0 * rng.standard_normal(2)
-        y = project_linear(x, half)
-        assert np.linalg.norm(project_linear(y, half) - y) <= 1e-10
-        y = project_band(x, band)
-        assert np.linalg.norm(project_band(y, band) - y) <= 1e-10
+        y = half.project(x)
+        assert np.linalg.norm(half.project(y) - y) <= 1e-10
+        y = band.project(x)
+        assert np.linalg.norm(band.project(y) - y) <= 1e-10
         y = project_pocs(x, [half, band]).x_out
         assert np.linalg.norm(project_pocs(y, [half, band]).x_out - y) <= 1e-10
         if np.linalg.norm(x) > 1e-3:
@@ -297,8 +336,8 @@ def test_closed_form_projections_minimize_distance():
     half = LinearIneq(np.array([1.2, -0.5]), 0.2)
     band = LinearBand(np.array([0.3, 1.0]), -0.6, 0.1)
     x = np.array([2.0, 1.5])
-    p_half = project_linear(x, half)
-    p_band = project_band(x, band)
+    p_half = half.project(x)
+    p_band = band.project(x)
     for _ in range(1000):
         y = 4.0 * rng.standard_normal(2)
         if half.face_values(y)[0] <= 0.0:

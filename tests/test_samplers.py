@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from chanceflow import (ConstraintSet, EmpiricalTarget, FlowModel,
-                        GaussianMixtureTarget, LinearIneq, SamplerConfig,
-                        Scheduler, max_violation, run_batch)
+                        GaussianMixtureTarget, LinearBand, LinearIneq,
+                        SamplerConfig, Scheduler, max_violation, run_batch)
+from chanceflow import samplers
 from chanceflow.numerics import stream_rng
 from chanceflow.samplers import (euler_step, heun_step, sample_ccfm,
                                  sample_eci, sample_repeated, sample_vanilla)
@@ -315,6 +316,32 @@ def test_run_batch_is_thread_count_invariant():
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.projection_moves, b.projection_moves)
+
+
+@pytest.mark.parametrize("samples, threads", [(1, 1), (5, 1), (5, 3)])
+def test_marginal_ccfm_batch_tightens_once_per_grid_time(monkeypatch, samples, threads):
+    # The marginal tightened sets depend on t alone: a batch builds them once
+    # per grid time, whatever its size or thread count, and every record
+    # equals a direct sample_ccfm call that builds its own.
+    cs = ConstraintSet((LinearIneq(np.array([1.0, 0.0]), 0.0),
+                        LinearBand(np.array([0.0, 1.0]), -1.0, 1.5)))
+    cfg = SamplerConfig(algorithm="ccfm", n_steps=20, seed=8, samples=samples)
+    direct = [sample_ccfm(TWO_MODE, cs, cfg, i) for i in range(samples)]
+    calls = []
+    real = samplers.tighten_set
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(samplers, "tighten_set", counting)
+    records = run_batch(TWO_MODE, cs, cfg, threads=threads)
+    assert len(calls) == cfg.n_steps
+    assert calls == [k / cfg.n_steps for k in range(1, cfg.n_steps + 1)]
+    for a, b in zip(records, direct):
+        for field in ("x0", "states", "x1", "per_step_violation", "projection_moves"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert (a.refine_converged, a.final_violation) == (b.refine_converged, b.final_violation)
 
 
 def test_run_batch_requires_constraints_for_constrained_algorithms():
