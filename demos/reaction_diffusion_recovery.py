@@ -15,9 +15,10 @@ import argparse
 
 import numpy as np
 
-from chanceflow import (ConstraintSet, EmpiricalTarget, FlowModel, GnConfig,
-                        RdGrid, SamplerConfig, max_violation, rd_constraints,
-                        rd_dataset, rd_metrics, run_batch)
+from chanceflow import (EmpiricalTarget, FlowModel, GnConfig, RdGrid,
+                        SamplerConfig, rd_constraints, rd_dataset, rd_metrics,
+                        run_batch)
+from chanceflow.reaction_diffusion import rd_violation_split
 
 ASCII_LEVELS = " .:-=+*#%@"
 
@@ -35,14 +36,8 @@ def ascii_field(field: np.ndarray, grid: RdGrid, lo: float, hi: float) -> str:
 
 
 def violation_summary(records, problem) -> tuple[float, float]:
-    """Worst IC-band and mass-balance violations across a batch: the set is
-    one band per cell of frame 0, then the single mass-law member."""
-    cs = rd_constraints(problem)
-    ic = ConstraintSet(cs.members[:problem.grid.n_s])
-    mass = ConstraintSet(cs.members[problem.grid.n_s:])
-    worst_ic = max(max_violation(ic, r.x1) for r in records)
-    worst_mass = max(max_violation(mass, r.x1) for r in records)
-    return worst_ic, worst_mass
+    """Worst IC-band and mass-balance violations across a batch."""
+    return rd_violation_split(np.stack([r.x1 for r in records]), rd_constraints(problem))
 
 
 def main() -> int:

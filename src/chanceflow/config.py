@@ -333,6 +333,11 @@ def build_workbench(cfg: ExperimentConfig, seed: int) -> Workbench:
         if member.dim is not None and member.dim != model.dim:
             raise ConfigError(
                 f"constraint dimension {member.dim} != model dimension {model.dim}")
+        subset = getattr(member, "coord_subset", None)
+        if subset is not None and max(subset) >= model.dim:
+            coords = " ".join(map(str, subset))
+            raise ConfigError(f"min_distance coords {coords} reach past "
+                              f"model dimension {model.dim}")
     cs = ConstraintSet(cfg.constraints, tol=cfg.tol)
 
     if cfg.reference == "simulation":

@@ -1,10 +1,18 @@
-"""Declarative constraints on clean samples, with residuals and Jacobians.
+"""Declarative constraints on clean samples, with their face values and Jacobians.
 
 A constraint contributes one or more scalar faces g_j(x); the feasible set
-is {x : g_j(x) <= 0 for all j}. Projection and sampling code only ever sees
-hinge residuals max(0, g_j(x)), active faces, and gradient rows, so every
-family below implements exactly that interface: face_values(x) gives its
-faces and jacobian(x) their gradient rows as one (n_faces, d) matrix.
+is {x : g_j(x) <= 0 for all j}. Every family below, and ConstraintSet,
+implements one interface:
+
+- face_values(x) takes one state (d,) or a batch (B, d) and returns
+  (n_faces,) or (B, n_faces); each row of a batch is bitwise the value of
+  that row evaluated alone;
+- jacobian(x) gives the gradient rows of one state as an (n_faces, d) matrix;
+- project(x), on the families with has_closed_projection, is the exact
+  Euclidean projection of one state.
+
+Hinge residuals, active faces and the maximum violation are all read off
+face_values.
 """
 
 from __future__ import annotations
@@ -23,8 +31,6 @@ __all__ = [
     "MinDistance",
     "SmoothScalar",
     "ConstraintSet",
-    "residuals",
-    "active_set",
     "jacobian_active",
     "max_violation",
 ]
@@ -45,15 +51,8 @@ def _unit_or_raise(a) -> np.ndarray:
     return a
 
 
-class _Member:
-    """Face accessor shared by every constraint family."""
-
-    def face_gradient(self, x: np.ndarray, face: int) -> np.ndarray:
-        return self.jacobian(np.asarray(x, dtype=float))[face]
-
-
 @dataclass(frozen=True)
-class LinearIneq(_Member):
+class LinearIneq:
     """Halfspace a.x <= b."""
 
     a: np.ndarray
@@ -71,10 +70,7 @@ class LinearIneq(_Member):
     has_closed_projection = True
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([float(self.a @ x) - self.b])
-
-    def batch_face_values(self, xs: np.ndarray) -> np.ndarray:
-        return (xs @ self.a - self.b)[:, None]
+        return (np.vecdot(x, self.a) - self.b)[..., None]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.a[None, :].copy()
@@ -87,7 +83,7 @@ class LinearIneq(_Member):
 
 
 @dataclass(frozen=True)
-class LinearBand(_Member):
+class LinearBand:
     """Slab lo <= a.x <= hi; face 0 is the lower side, face 1 the upper."""
 
     a: np.ndarray
@@ -109,12 +105,8 @@ class LinearBand(_Member):
     has_closed_projection = True
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
-        s = float(self.a @ x)
-        return np.array([self.lo - s, s - self.hi])
-
-    def batch_face_values(self, xs: np.ndarray) -> np.ndarray:
-        s = xs @ self.a
-        return np.stack([self.lo - s, s - self.hi], axis=1)
+        s = np.vecdot(x, self.a)
+        return np.array([self.lo - s, s - self.hi]).T
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return np.array([-self.a, self.a])
@@ -128,7 +120,7 @@ class LinearBand(_Member):
 
 
 @dataclass(frozen=True)
-class QuadIneq(_Member):
+class QuadIneq:
     """Squared projection (a.x)^2 <= b, b > 0."""
 
     a: np.ndarray
@@ -148,19 +140,15 @@ class QuadIneq(_Member):
     has_closed_projection = False
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
-        s = float(self.a @ x)
-        return np.array([s * s - self.b])
-
-    def batch_face_values(self, xs: np.ndarray) -> np.ndarray:
-        s = xs @ self.a
-        return (s * s - self.b)[:, None]
+        s = np.vecdot(x, self.a)
+        return (s * s - self.b)[..., None]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return (2.0 * float(self.a @ x) * self.a)[None, :]
 
 
 @dataclass(frozen=True)
-class MinDistance(_Member):
+class MinDistance:
     """Keep-out ball: ||x[subset] - center|| >= radius (nonconvex).
 
     coord_subset selects which coordinates the distance is measured over;
@@ -196,14 +184,13 @@ class MinDistance(_Member):
     has_closed_projection = False
 
     def _select(self, x: np.ndarray) -> np.ndarray:
-        return x if self.coord_subset is None else x[list(self.coord_subset)]
+        return x if self.coord_subset is None else x[..., list(self.coord_subset)]
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.radius - float(np.linalg.norm(self._select(x) - self.center))])
-
-    def batch_face_values(self, xs: np.ndarray) -> np.ndarray:
-        sel = xs if self.coord_subset is None else xs[:, list(self.coord_subset)]
-        return (self.radius - np.linalg.norm(sel - self.center, axis=1))[:, None]
+        # A batch's selected columns come back column-major, and a strided
+        # row's dot product rounds differently from a contiguous one's.
+        v = np.ascontiguousarray(self._select(x) - self.center)
+        return (self.radius - np.sqrt(np.vecdot(v, v)))[..., None]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         diff = self._select(x) - self.center
@@ -219,7 +206,7 @@ class MinDistance(_Member):
 
 
 @dataclass(frozen=True)
-class SmoothScalar(_Member):
+class SmoothScalar:
     """User-supplied differentiable constraint g(x) <= 0 with n_faces faces.
 
     g returns the (n_faces,) face values and grad their (n_faces, dim)
@@ -285,10 +272,10 @@ class SmoothScalar(_Member):
     has_closed_projection = False
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
+        # g is a function of one state, so a batch is evaluated row by row.
+        if np.ndim(x) == 2:
+            return np.array([self.face_values(row) for row in x]).reshape(len(x), self.n_faces)
         return self._shaped(self.g(x), (self.n_faces,), "constraint")
-
-    def batch_face_values(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.face_values(row) for row in xs]).reshape(len(xs), self.n_faces)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self._shaped(self.grad(x), (self.n_faces, self.dim), "gradient")
@@ -338,41 +325,29 @@ class ConstraintSet:
         return all(c.has_closed_projection for c in self.members)
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
+        """Every face of every member, in declaration order: (n_faces,) for
+        one state, (B, n_faces) for a batch. A non-finite state or a NaN
+        face value raises NumericalError."""
         x = _check_point(self, x)
         if not self.members:
-            return np.empty(0)
-        return np.concatenate([c.face_values(x) for c in self.members])
-
-    def batch_face_values(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if not self.members:
-            return np.empty((xs.shape[0], 0))
-        return np.concatenate([c.batch_face_values(xs) for c in self.members], axis=1)
-
-    def face_gradient(self, x: np.ndarray, face_index: int) -> np.ndarray:
-        i, j = self._faces[face_index]
-        return self.members[i].face_gradient(np.asarray(x, dtype=float), j)
+            return np.empty(x.shape[:-1] + (0,))
+        vals = np.concatenate([c.face_values(x) for c in self.members], axis=-1)
+        if np.isnan(vals).any():
+            raise NumericalError("constraint evaluation gave a NaN face value")
+        return vals
 
 
 def _check_point(cs: ConstraintSet, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D state, got shape {x.shape}")
-    if cs.dim is not None and x.size != cs.dim:
-        raise ValueError(f"state dimension {x.size} does not match constraint dimension {cs.dim}")
-    if not np.all(np.isfinite(x)):
+    # Contiguous rows, so each row's dot products round as one state's do.
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected a state (d,) or a batch (B, d), got shape {x.shape}")
+    if cs.dim is not None and x.shape[-1] != cs.dim:
+        raise ValueError(f"state dimension {x.shape[-1]} does not match "
+                         f"constraint dimension {cs.dim}")
+    if not np.isfinite(x).all():
         raise NumericalError("constraint evaluation at a non-finite state")
     return x
-
-
-def residuals(cs: ConstraintSet, x) -> np.ndarray:
-    """Hinge residuals max(0, g_j(x)) for every face, in declaration order."""
-    return np.maximum(0.0, cs.face_values(x))
-
-
-def active_set(cs: ConstraintSet, x) -> list[int]:
-    """Face indices with g_j(x) > 0; empty exactly when x is feasible."""
-    return [int(i) for i in np.nonzero(cs.face_values(x) > 0.0)[0]]
 
 
 def jacobian_active(cs: ConstraintSet, x, active: list[int]) -> np.ndarray:
@@ -384,6 +359,8 @@ def jacobian_active(cs: ConstraintSet, x, active: list[int]) -> np.ndarray:
     if len(active) == 0:
         raise ValueError("jacobian_active requires a nonempty active list")
     x = _check_point(cs, x)
+    if x.ndim != 1:
+        raise ValueError(f"jacobian_active takes one state (d,), got shape {x.shape}")
     jacobians = {}
     rows = []
     for face in active:

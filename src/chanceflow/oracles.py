@@ -90,7 +90,7 @@ def mc_chance(constraint, x_t: np.ndarray, t: float, n_trials: int,
     x_t = np.asarray(x_t, dtype=float)
     noise = rng.standard_normal((n_trials, x_t.size))
     y = x_t / t - ((1.0 - t) / t) * noise
-    vals = constraint.batch_face_values(y)
+    vals = constraint.face_values(y)
     ok = np.all(vals <= 0.0, axis=1)
     p_hat = float(ok.mean())
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n_trials))
@@ -150,7 +150,7 @@ def brute_force_project(x: np.ndarray, cs: ConstraintSet,
                     if rest else np.zeros((1, 0)))
         for v0 in axes[0]:
             pts = np.concatenate([np.full((rest_pts.shape[0], 1), v0), rest_pts], axis=1)
-            feas = np.all(cs.batch_face_values(pts) <= 0.0, axis=1)
+            feas = np.all(cs.face_values(pts) <= 0.0, axis=1)
             if not feas.any():
                 continue
             cand = pts[feas]
@@ -291,7 +291,7 @@ def rejection_sample(target, cs: ConstraintSet, n: int, rng: np.random.Generator
     needed = int(n)
     for _ in range(max_tries):
         batch = sample_target(target, max(needed * 2, 64), rng)
-        feas = np.all(cs.batch_face_values(batch) <= 0.0, axis=1)
+        feas = np.all(cs.face_values(batch) <= 0.0, axis=1)
         kept = batch[feas]
         if kept.shape[0]:
             out.append(kept[:needed])

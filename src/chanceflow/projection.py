@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, jacobian_active
+from .constraints import ConstraintSet, jacobian_active, max_violation
 from .errors import GradientSingularityError
 from .flow import interpolate, recover_x1
 from .numerics import solve_spd, stream_rng
@@ -87,25 +87,23 @@ def project(x: np.ndarray, cs: ConstraintSet, gn: GnConfig = GnConfig()) -> np.n
     if cs.all_closed_form:
         if len(cs.members) == 1:
             return cs.members[0].project(x)
-        return project_pocs(x, cs.members, _POCS_CYCLES, cs.tol).x_out
+        return project_pocs(x, cs, _POCS_CYCLES).x_out
     return gauss_newton_project(x, cs, gn).x_out
 
 
-def _pocs_violation(members, x: np.ndarray) -> float:
-    return max(0.0, max(float(c.face_values(x).max()) for c in members))
-
-
-def project_pocs(x: np.ndarray, constraints, max_cycles: int = _POCS_CYCLES,
-                 tol: float = 1e-10) -> ProjectionReport:
+def project_pocs(x: np.ndarray, cs: ConstraintSet,
+                 max_cycles: int = _POCS_CYCLES) -> ProjectionReport:
     """Nearest point in an intersection of halfspaces/slabs (Dykstra).
 
-    Cycles through the constraints in declaration order, each time projecting
-    the current iterate plus its accumulated correction; converges to the
-    Euclidean projection for consistent convex sets. Non-convergence within
-    max_cycles is reported, not raised.
+    Cycles through the members of cs in declaration order, each time
+    projecting the current iterate plus its accumulated correction;
+    converges to the Euclidean projection for consistent convex sets. Stops
+    once max_violation is within cs.tol and a cycle moves the iterate by no
+    more than cs.tol (relative). Non-convergence within max_cycles is
+    reported, not raised.
     """
     x0 = np.asarray(x, dtype=float)
-    members = list(constraints)
+    members = cs.members
     for c in members:
         if not c.has_closed_projection:
             raise TypeError(
@@ -115,18 +113,18 @@ def project_pocs(x: np.ndarray, constraints, max_cycles: int = _POCS_CYCLES,
     cur = x0.copy()
     corrections = [np.zeros_like(cur) for _ in members]
     history = []
-    viol = _pocs_violation(members, cur)
+    viol = max_violation(cs, cur)
     for cycle in range(1, int(max_cycles) + 1):
         prev = cur
         for i, c in enumerate(members):
             shifted = cur + corrections[i]
             cur = c.project(shifted)
             corrections[i] = shifted - cur
-        viol = _pocs_violation(members, cur)
+        viol = max_violation(cs, cur)
         history.append(viol)
-        if viol <= tol and np.linalg.norm(cur - prev) <= tol * (1.0 + np.linalg.norm(cur)):
+        if viol <= cs.tol and np.linalg.norm(cur - prev) <= cs.tol * (1.0 + np.linalg.norm(cur)):
             return ProjectionReport(cur, cycle, viol, True, tuple(history))
-    return ProjectionReport(cur, int(max_cycles), viol, viol <= tol, tuple(history))
+    return ProjectionReport(cur, int(max_cycles), viol, viol <= cs.tol, tuple(history))
 
 
 def gauss_newton_project(x: np.ndarray, cs: ConstraintSet,

@@ -243,7 +243,7 @@ def rd_violation_split(finals: np.ndarray, cs: ConstraintSet) -> tuple[float, fl
     cv_ic = 0.0
     cv_cl = 0.0
     for member in cs.members:
-        worst = float(member.batch_face_values(finals).max(initial=0.0))
+        worst = float(member.face_values(finals).max(initial=0.0))
         if isinstance(member, LinearBand):
             cv_ic = max(cv_ic, worst)
         else:

@@ -134,9 +134,10 @@ def dykstra_matches_kkt_enumeration():
     members = (LinearIneq(np.array([1.0, 0.0]), 0.0),
                LinearIneq(np.array([0.6, 0.8]), -0.1),
                LinearIneq(np.array([-0.2, 1.0]), 0.3))
+    cs = ConstraintSet(members, tol=1e-12)
     for _ in range(25):
         x = 2.0 * rng.standard_normal(2)
-        got = project_pocs(x, members, 2000, 1e-12).x_out
+        got = project_pocs(x, cs, 2000).x_out
         expect = halfspace_qp_project(x, members)
         _assert(np.allclose(got, expect, atol=1e-8),
                 "cyclic projection disagrees with KKT enumeration")

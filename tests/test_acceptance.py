@@ -159,7 +159,7 @@ def test_c03_tightening_degenerates_to_the_original_at_t1():
         else:
             members = (LinearIneq(random_direction(rng, d), float(rng.uniform(-1, 1))),
                        LinearIneq(random_direction(rng, d), float(rng.uniform(-1, 1))))
-            plain = project_pocs(x, members, tol=1e-12).x_out
+            plain = project_pocs(x, ConstraintSet(members, tol=1e-12)).x_out
         cs = ConstraintSet(members, tol=1e-12)
         final = project(x, tighten_set(cs, 1.0, sched, "marginal"))
         worst = max(worst, float(np.linalg.norm(final - plain)))

@@ -283,7 +283,7 @@ def test_pathwise_smooth_scalar_transport_gradient():
     # value: g((x - (1-t) x0)/t); gradient: grad(g)(M_t(x)) / t  (chain rule)
     y = recover_x1(x, x0, t)
     assert member.face_values(x)[0] == pytest.approx(float(y @ y) - 1.0, abs=1e-12)
-    assert np.allclose(member.face_gradient(x, 0), 2.0 * y / t, atol=1e-12)
+    assert np.allclose(member.jacobian(x)[0], 2.0 * y / t, atol=1e-12)
 
 
 def test_pathwise_multi_face_smooth_scalar_transport_gradient():
@@ -302,7 +302,7 @@ def test_pathwise_multi_face_smooth_scalar_transport_gradient():
                        rtol=0.0, atol=1e-12)
     assert np.allclose(member.jacobian(x), [2.0 * y / t, [y[1] / t, y[0] / t]],
                        rtol=0.0, atol=1e-12)
-    assert np.allclose(member.face_gradient(x, 1), [y[1] / t, y[0] / t],
+    assert np.allclose(member.jacobian(x)[1], [y[1] / t, y[0] / t],
                        rtol=0.0, atol=1e-12)
 
 

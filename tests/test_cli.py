@@ -113,6 +113,25 @@ def test_malformed_config_exits_2_without_output(tmp_path):
     assert not out.exists()
 
 
+def test_out_of_range_coords_exit_2_without_output(tmp_path):
+    # coords 5 names a coordinate the 2-D model does not have.
+    text = SMOKE.replace("steps = 12", "steps = 12\nmode = pathwise")
+    text = text.replace("[metrics]", textwrap.dedent("""\
+        [constraint.ball]
+        kind = min_distance
+        center = 0 0
+        radius = 0.5
+        coords = 0 5
+
+        [metrics]"""))
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert main(["run", write_config(tmp_path, text.replace("coords = 0 5", "coords = 1 0"),
+                                     name="ok.cfg"), "--out-dir", str(out)]) == 0
+
+
 def test_run_writes_csv_and_figures(tmp_path):
     cfg = write_config(tmp_path, SMOKE)
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
-"""Constraint families: residuals, active sets, Jacobians, and validation."""
+"""Constraint families: face values of a state or a batch, hinge residuals,
+active faces, Jacobians, and validation."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from chanceflow import (ConstraintSet, GradientSingularityError, LinearBand,
                         LinearIneq, MinDistance, NumericalError, QuadIneq,
-                        SmoothScalar, max_violation)
-from chanceflow.constraints import active_set, jacobian_active, residuals
+                        SmoothScalar, final_refine, max_violation)
+from chanceflow.constraints import jacobian_active
 from chanceflow.numerics import stream_rng
 
 HALF = LinearIneq(np.array([1.0, 0.0]), 1.0)
@@ -30,6 +31,95 @@ def two_faces(x):
 
 def two_faces_jacobian(x):
     return np.array([[2.0 * x[0], 1.0], [np.cos(x[0]), -1.0]])
+
+
+def residuals(cs, x):
+    return np.maximum(0.0, cs.face_values(x))
+
+
+def active_faces(cs, x):
+    return [int(i) for i in np.nonzero(cs.face_values(x) > 0.0)[0]]
+
+
+# --- face values of a state or a batch -----------------------------------------
+
+
+def _batch_cases():
+    # d = 8: wide enough that a BLAS matrix-vector product, or a norm
+    # reduced along an axis, rounds differently from the one-state dot.
+    a = stream_rng(21, 6).standard_normal((4, 8))
+    smooth1 = SmoothScalar(8, lambda x: float(np.sin(x[0]) + x[1] * x[7] - 0.2),
+                           lambda x: np.array([np.cos(x[0]), x[7], 0, 0, 0, 0, 0, x[1]]))
+    smooth2 = SmoothScalar(2, two_faces, two_faces_jacobian, n_faces=2)
+    return [
+        ("linear", LinearIneq(a[0], 0.2)),
+        ("band", LinearBand(a[1], -0.3, 0.9)),
+        ("quadratic", QuadIneq(a[2], 1.2)),
+        ("min_distance", MinDistance(a[3], 3.0)),
+        ("min_distance_subset", MinDistance(a[3, :6], 2.0, coord_subset=(7, 0, 5, 2, 4, 1))),
+        ("smooth", smooth1),
+        ("smooth_multi_face", smooth2),
+        ("mixed_set", ConstraintSet((
+            LinearIneq(a[0], 0.3),
+            LinearBand(a[1], -1.0, 1.0),
+            QuadIneq(a[2], 2.0),
+            MinDistance(np.array([0.5]), 0.5, coord_subset=(1,)),
+            smooth1,
+        ))),
+        ("empty_set", ConstraintSet(())),
+    ]
+
+
+@pytest.mark.parametrize("name, evaluator", _batch_cases())
+@pytest.mark.parametrize("batch", [0, 1, 7, 300])
+def test_batch_face_values_equal_stacked_rows(name, evaluator, batch):
+    d = evaluator.dim or 8
+    xs = 2.0 * stream_rng(21, 7).standard_normal((batch, d))
+    got = evaluator.face_values(xs)
+    assert got.shape == (batch, evaluator.n_faces)
+    rows = [evaluator.face_values(x) for x in xs]
+    want = np.stack(rows) if rows else np.empty((0, evaluator.n_faces))
+    assert np.array_equal(got, want)
+
+
+def test_one_state_face_values_keep_their_dot_product_formulas():
+    a = stream_rng(21, 6).standard_normal((4, 8))
+    line = LinearIneq(a[0], 0.2)
+    band = LinearBand(a[1], -0.3, 0.9)
+    quad = QuadIneq(a[2], 1.2)
+    ball = MinDistance(a[3], 3.0)
+    for x in 2.0 * stream_rng(21, 8).standard_normal((300, 8)):
+        s = float(a[1] @ x)
+        assert line.face_values(x).tolist() == [float(a[0] @ x) - 0.2]
+        assert band.face_values(x).tolist() == [-0.3 - s, s - 0.9]
+        assert quad.face_values(x).tolist() == [float(a[2] @ x) ** 2 - 1.2]
+        assert ball.face_values(x).tolist() == [3.0 - float(np.linalg.norm(x - a[3]))]
+
+
+def test_set_face_values_raise_on_nan_face():
+    # sqrt of a negative coordinate: g is NaN, not a satisfied face.
+    root = SmoothScalar(2, lambda x: np.sqrt(x[0]) - 1.0,
+                        lambda x: np.array([0.5 / np.sqrt(x[0]), 0.0]), validate=False)
+    cs = ConstraintSet((root,))
+    x = np.array([-4.0, 0.0])
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        max_violation(cs, x)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        final_refine(x, cs)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        cs.face_values(np.array([[4.0, 0.0], [-4.0, 0.0]]))
+
+
+def test_set_face_values_reject_bad_shapes():
+    cs = ConstraintSet((HALF,))
+    with pytest.raises(ValueError):
+        cs.face_values(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        cs.face_values(np.zeros((1, 2, 2)))
+    with pytest.raises(NumericalError):
+        cs.face_values(np.array([[0.0, 0.0], [np.nan, 0.0]]))
+    with pytest.raises(ValueError):
+        jacobian_active(cs, np.zeros((1, 2)), [0])
 
 
 # --- residuals ----------------------------------------------------------------
@@ -73,7 +163,7 @@ def test_residuals_are_nonnegative(x):
 
 def test_active_set_empty_when_feasible():
     cs = ConstraintSet((HALF,))
-    assert active_set(cs, np.array([0.5, 3.0])) == []
+    assert active_faces(cs, np.array([0.5, 3.0])) == []
 
 
 def test_active_set_picks_violated_indices():
@@ -82,7 +172,7 @@ def test_active_set_picks_violated_indices():
         LinearIneq(np.array([1.0, 0.0]), 5.0),   # satisfied
         LinearIneq(np.array([0.0, 1.0]), 0.0),   # violated
     ))
-    assert active_set(cs, np.array([2.0, 1.0])) == [0, 2]
+    assert active_faces(cs, np.array([2.0, 1.0])) == [0, 2]
 
 
 def test_active_set_matches_elementwise_signs():
@@ -95,7 +185,7 @@ def test_active_set_matches_elementwise_signs():
     for _ in range(100):
         x = 3.0 * rng.standard_normal(2)
         want = [i for i, v in enumerate(cs.face_values(x)) if v > 0.0]
-        assert active_set(cs, x) == want
+        assert active_faces(cs, x) == want
 
 
 def test_active_set_is_support_of_residuals():
@@ -104,7 +194,7 @@ def test_active_set_is_support_of_residuals():
     for _ in range(50):
         x = 2.0 * rng.standard_normal(2)
         r = residuals(cs, x)
-        assert set(active_set(cs, x)) == set(np.nonzero(r > 0.0)[0])
+        assert set(active_faces(cs, x)) == set(np.nonzero(r > 0.0)[0])
 
 
 # --- Jacobians ------------------------------------------------------------------
@@ -139,7 +229,7 @@ def test_jacobian_requires_active_faces():
 def test_min_distance_gradient_singular_at_center():
     c = MinDistance(np.array([1.0, -1.0]), 1.0)
     with pytest.raises(GradientSingularityError):
-        c.face_gradient(np.array([1.0, -1.0]), 0)
+        c.jacobian(np.array([1.0, -1.0]))[0]
 
 
 def test_jacobians_match_finite_differences_on_probes():
@@ -169,7 +259,7 @@ def test_jacobians_match_finite_differences_on_probes():
                 continue
             probes += 1
             for face in range(member.n_faces):
-                analytic = cs.face_gradient(x, face)
+                analytic = member.jacobian(x)[face]
                 fd = fd_gradient(cs, x, face)
                 scale = 1.0 + np.linalg.norm(fd)
                 assert np.linalg.norm(analytic - fd) <= 1e-5 * scale, (member, x)
@@ -251,7 +341,7 @@ def test_min_distance_subset_selects_coordinates():
     c = MinDistance(np.array([0.0]), 1.0, coord_subset=(2,))
     x = np.array([9.0, 9.0, 0.25])
     assert c.face_values(x)[0] == pytest.approx(0.75)
-    grad = c.face_gradient(x, 0)
+    grad = c.jacobian(x)[0]
     assert np.allclose(grad, [0.0, 0.0, -1.0], atol=1e-14)
 
 
@@ -274,10 +364,10 @@ def test_multi_face_smooth_scalar_values_and_jacobian_rows():
     assert np.array_equal(cs.face_values(x)[1:], two_faces(x))
     jac = two_faces_jacobian(x)
     assert np.array_equal(jacobian_active(cs, x, [2, 0, 1]), [jac[1], HALF.a, jac[0]])
-    assert np.array_equal(cs.face_gradient(x, 2), jac[1])
+    assert np.array_equal(cs.members[1].jacobian(x)[1], jac[1])
     xs = np.stack([x, 2.0 * x, -x])
-    assert np.array_equal(c.batch_face_values(xs), [two_faces(row) for row in xs])
-    assert c.batch_face_values(np.empty((0, 2))).shape == (0, 2)
+    assert np.array_equal(c.face_values(xs), [two_faces(row) for row in xs])
+    assert c.face_values(np.empty((0, 2))).shape == (0, 2)
 
 
 def test_multi_face_smooth_scalar_rejects_wrong_output_shape():

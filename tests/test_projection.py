@@ -61,10 +61,10 @@ def test_project_band_linear_band():
 def test_closed_forms_reject_foreign_types():
     # Dykstra cycles only through members with a closed-form projection.
     with pytest.raises(TypeError):
-        project_pocs(np.zeros(1), [QuadIneq(np.array([1.0]), 1.0)])
+        project_pocs(np.zeros(1), ConstraintSet((QuadIneq(np.array([1.0]), 1.0),)))
     with pytest.raises(TypeError):
-        project_pocs(np.zeros(2), [LinearIneq(np.array([1.0, 0.0]), 0.0),
-                                   MinDistance(np.zeros(2), 1.0)])
+        project_pocs(np.zeros(2), ConstraintSet((LinearIneq(np.array([1.0, 0.0]), 0.0),
+                                                 MinDistance(np.zeros(2), 1.0))))
 
 
 # --- the projection dispatch ----------------------------------------------------
@@ -97,7 +97,7 @@ def test_project_dispatch(members, route):
         elif route == "closed_form":
             want = members[0].project(x)
         elif route == "pocs":
-            want = project_pocs(x, members, tol=cs.tol).x_out
+            want = project_pocs(x, cs).x_out
         else:
             want = gauss_newton_project(x, cs, gn).x_out
         assert np.array_equal(got, want)
@@ -109,7 +109,7 @@ def test_project_dispatch(members, route):
 def test_pocs_single_halfspace_matches_closed_form():
     c = LinearIneq(np.array([2.0, 1.0]), 0.3)
     x = np.array([1.5, 1.5])
-    report = project_pocs(x, [c])
+    report = project_pocs(x, ConstraintSet((c,), tol=1e-10))
     assert np.allclose(report.x_out, c.project(x), atol=1e-12)
     assert report.converged
 
@@ -117,7 +117,7 @@ def test_pocs_single_halfspace_matches_closed_form():
 def test_pocs_orthogonal_halfspaces():
     cons = [LinearIneq(np.array([1.0, 0.0]), 0.0),
             LinearIneq(np.array([0.0, 1.0]), 0.0)]
-    report = project_pocs(np.array([1.0, 1.0]), cons)
+    report = project_pocs(np.array([1.0, 1.0]), ConstraintSet(cons, tol=1e-10))
     assert np.allclose(report.x_out, [0.0, 0.0], atol=1e-12)
 
 
@@ -125,7 +125,7 @@ def test_pocs_matches_kkt_solve_on_oblique_pair():
     cons = [LinearIneq(np.array([1.0, 0.2]), 0.0),
             LinearIneq(np.array([-0.3, 1.0]), -0.1)]
     x = np.array([1.0, 1.2])  # violates both
-    report = project_pocs(x, cons)
+    report = project_pocs(x, ConstraintSet(cons, tol=1e-10))
     want = halfspace_qp_project(x, cons)
     assert np.linalg.norm(report.x_out - want) <= 1e-8
 
@@ -140,13 +140,27 @@ def test_pocs_matches_kkt_solve_on_random_instances():
             want = halfspace_qp_project(x, cons)
         except Exception:
             continue  # randomly inconsistent triple; Dykstra has no target
-        report = project_pocs(x, cons)
+        report = project_pocs(x, ConstraintSet(cons, tol=1e-10))
         assert np.linalg.norm(report.x_out - want) <= 1e-8
+
+
+def test_pocs_stops_at_the_set_tolerance():
+    # Two boundaries 6 degrees apart: Dykstra converges slowly to their
+    # apex, so a looser cs.tol must stop it in fewer cycles, each report
+    # within its own set's tolerance.
+    cons = (LinearIneq(np.array([1.0, 0.05]), 0.0), LinearIneq(np.array([1.0, -0.05]), 0.0))
+    x = np.array([1.0, 0.01])  # projects onto the apex
+    loose = project_pocs(x, ConstraintSet(cons, tol=1e-4))
+    tight = project_pocs(x, ConstraintSet(cons, tol=1e-8))
+    assert loose.converged
+    assert loose.final_max_violation <= 1e-4
+    assert tight.final_max_violation <= 1e-8
+    assert loose.iterations < tight.iterations
 
 
 def test_pocs_empty_input_is_identity():
     x = np.array([1.0, -2.0])
-    report = project_pocs(x, [])
+    report = project_pocs(x, ConstraintSet(()))
     assert np.array_equal(report.x_out, x)
     assert report.iterations == 0
 
@@ -316,6 +330,7 @@ def test_projections_are_idempotent():
     rng = stream_rng(41, 3)
     half = LinearIneq(np.array([1.0, -0.7]), 0.1)
     band = LinearBand(np.array([0.5, 1.0]), -0.4, 0.4)
+    pair = ConstraintSet((half, band), tol=1e-10)
     ring = ConstraintSet((MinDistance(np.zeros(2), 1.0),))
     for _ in range(50):
         x = 3.0 * rng.standard_normal(2)
@@ -323,8 +338,8 @@ def test_projections_are_idempotent():
         assert np.linalg.norm(half.project(y) - y) <= 1e-10
         y = band.project(x)
         assert np.linalg.norm(band.project(y) - y) <= 1e-10
-        y = project_pocs(x, [half, band]).x_out
-        assert np.linalg.norm(project_pocs(y, [half, band]).x_out - y) <= 1e-10
+        y = project_pocs(x, pair).x_out
+        assert np.linalg.norm(project_pocs(y, pair).x_out - y) <= 1e-10
         if np.linalg.norm(x) > 1e-3:
             y = gauss_newton_project(x, ring).x_out
             z = gauss_newton_project(y, ring).x_out
