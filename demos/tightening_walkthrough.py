@@ -11,10 +11,11 @@ Run:  python3 demos/tightening_walkthrough.py [--seed N] [--trials N]
 """
 
 import argparse
+import math
 
 import numpy as np
 
-from chanceflow import (LinearIneq, QuadIneq, Scheduler, mc_chance,
+from chanceflow import (LinearBand, LinearIneq, Scheduler, mc_chance,
                         normal_quantile, sigma_of_t, stream_rng, tighten_set)
 from chanceflow.constraints import ConstraintSet
 
@@ -51,19 +52,23 @@ def check_boundary_probability(b: float, t: float, n: float, seed: int,
 
 def quadratic_collapse(t: float, n: float) -> None:
     """The two-sided surrogate of ||x1||^2-type constraints shrinks to a point
-    exactly when the radius matches the scheduled noise margin."""
+    exactly when the radius matches the scheduled noise margin. A config's
+    quadratic (a.x)^2 <= b is the band |a.x| <= sqrt(b), built here the same
+    way."""
     sched = Scheduler(n)
     a = np.array([1.0, 0.0])
     z = normal_quantile((1.0 + sched.phi(t)) / 2.0)
     crit = (sigma_of_t(t) * z) ** 2
     print(f"\nquadratic (a.x1)^2 <= b at t={t}, n={n}: critical b = {crit:.6f}")
     for scale, label in ((0.5, "below critical"), (1.0, "at critical"), (2.0, "above critical")):
-        cs = ConstraintSet((QuadIneq(a, scale * crit),))
+        root = math.sqrt(scale * crit)
+        cs = ConstraintSet((LinearBand(a, -root, root),))
         members = tighten_set(cs, t, sched, "marginal").members
         if not members:
             print(f"  b = {scale:.1f}*crit ({label:>14}): inactive this step")
         else:
-            print(f"  b = {scale:.1f}*crit ({label:>14}): |a.x_t| <= {members[0].hi:.6f}")
+            upper = members[1]
+            print(f"  b = {scale:.1f}*crit ({label:>14}): |a.x_t| <= {upper.b:.6f}")
 
 
 def main() -> int:

@@ -10,7 +10,7 @@ top.
 
 from .chance import Scheduler, sigma_of_t, tighten_set
 from .constraints import (ConstraintSet, LinearBand, LinearIneq, MinDistance,
-                          QuadIneq, SmoothScalar, max_violation)
+                          SmoothScalar, max_violation)
 from .errors import (ConfigError, GradientSingularityError, NumericalError,
                      OracleFailure)
 from .flow import (EmpiricalTarget, FlowModel, GaussianMixtureTarget,
@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Scheduler", "sigma_of_t", "tighten_set",
-    "ConstraintSet", "LinearBand", "LinearIneq", "MinDistance", "QuadIneq",
-    "SmoothScalar", "max_violation",
+    "ConstraintSet", "LinearBand", "LinearIneq", "MinDistance", "SmoothScalar",
+    "max_violation",
     "ConfigError", "GradientSingularityError", "NumericalError", "OracleFailure",
     "EmpiricalTarget", "FlowModel", "GaussianMixtureTarget", "interpolate",
     "load_matrix", "recover_x1",

@@ -3,35 +3,35 @@ deterministic tightenings that make clean-sample constraints enforceable on
 noisy intermediate states.
 
 At time t the state decomposes as x_t = t x1 + (1-t) x0 with x0 standard
-normal, so requiring g(x1) <= 0 with probability phi(t) is, for linear and
-quadratic g, equivalent to a deterministic constraint on x_t with a
+normal, so requiring g(x1) <= 0 with probability phi(t) is, for a halfspace
+or a slab, equivalent to a deterministic constraint on x_t with a
 quantile-dependent margin; the margin carries the noise scale
 sigma(t) = (1-t)/t and vanishes at t = 1, where the original constraint is
 recovered bitwise.
 
-A tightened set is a plain ConstraintSet of the clean kinds: halfspaces and
-slabs in marginal mode, the transported members in pathwise mode. Feasibility
+A tightened set is a plain ConstraintSet of the clean kinds: halfspaces in
+marginal mode, the transported members in pathwise mode. Feasibility
 is therefore enforced exactly as for the clean set, by the same projections.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import (ConstraintSet, LinearBand, LinearIneq, MinDistance,
-                          QuadIneq, SmoothScalar)
+                          SmoothScalar)
 from .flow import recover_x1
 from .numerics import normal_quantile
 
 __all__ = [
+    "MARGINAL_KINDS",
     "PHI_CLAMP",
     "Scheduler",
     "sigma_of_t",
+    "tighten_band",
     "tighten_linear",
-    "tighten_quadratic",
     "tighten_set",
 ]
 
@@ -39,6 +39,9 @@ __all__ = [
 # quantiles: below the floor the constraint is vacuous for the step, above
 # the ceiling the probability is clamped.
 PHI_CLAMP = 1e-12
+
+# The constraint kinds with a marginal chance reformulation.
+MARGINAL_KINDS = (LinearIneq, LinearBand)
 
 
 @dataclass(frozen=True)
@@ -84,22 +87,21 @@ def tighten_linear(c: LinearIneq, t: float, satisfy_prob: float) -> LinearIneq:
     return LinearIneq(c.a, rhs)
 
 
-def tighten_quadratic(c: QuadIneq, t: float, satisfy_prob: float) -> LinearBand | None:
-    """Deterministic surrogate of P((a.x1)^2 <= b) >= satisfy_prob at time t.
+def tighten_band(c: LinearBand, t: float, satisfy_prob: float) -> tuple:
+    """Deterministic surrogate of P(lo <= a.x1 <= hi) >= satisfy_prob at time t.
 
-    Splits the risk over the two tails (z at (1 + p)/2) and enforces
-    |a.x_t| <= t*(sqrt(b) - sigma*||a||*z). When the margin exceeds sqrt(b)
-    the band would be empty, so None is returned: nothing is enforced at
-    this step.
+    Splits the risk evenly over the two sides (each tightened by tighten_linear
+    at (1 + p)/2) and returns them as two halfspaces, lower side first as in
+    the clean band's face order; that order is Dykstra's member cycle, which
+    fixes its output bits. When the tightened sides cross, no state satisfies
+    both and () is returned: nothing is enforced at this step.
     """
-    t = float(t)
-    sigma = sigma_of_t(t)
-    z = normal_quantile((1.0 + float(satisfy_prob)) / 2.0)
-    half_width = math.sqrt(c.b) - sigma * float(np.linalg.norm(c.a)) * z
-    if half_width < 0.0:
-        return None
-    rhs = t * half_width
-    return LinearBand(c.a, -rhs, rhs)
+    side_prob = (1.0 + float(satisfy_prob)) / 2.0
+    lower = tighten_linear(LinearIneq(-c.a, -c.lo), t, side_prob)
+    upper = tighten_linear(LinearIneq(c.a, c.hi), t, side_prob)
+    if upper.b < -lower.b:
+        return ()
+    return lower, upper
 
 
 class TightenedConstraint(LinearIneq):
@@ -109,39 +111,22 @@ class TightenedConstraint(LinearIneq):
     class."""
 
 
-def _tighten_band(c: LinearBand, t: float, phi: float) -> tuple:
-    # Split the allowed risk evenly across the two sides of the slab. The
-    # sides stay two halfspaces, lower first as in the clean band's face
-    # order; that order is Dykstra's member cycle, which fixes its output
-    # bits.
-    side_prob = (1.0 + phi) / 2.0
-    lower = tighten_linear(LinearIneq(-c.a, -c.lo), t, side_prob)
-    upper = tighten_linear(LinearIneq(c.a, c.hi), t, side_prob)
-    if upper.b < -lower.b:
-        # The two tightened sides cross: no state can satisfy both, so the
-        # band is unenforceable at this step (same treatment as the
-        # quadratic feasibility condition).
-        return ()
-    return lower, upper
-
-
 def tighten_set(cs: ConstraintSet, t: float, scheduler: Scheduler, mode: str,
                 x0: np.ndarray | None = None) -> ConstraintSet:
     """The per-step enforceable set on x_t, as a ConstraintSet with cs.tol.
 
     mode 'marginal' applies the probabilistic reformulations with
-    satisfy_prob = clamp(phi(t)); only linear, band, and quadratic kinds
-    admit one. A halfspace tightens to a halfspace, a band to its two sides
-    as halfspaces, and a quadratic to a symmetric band. Faces with nothing
-    enforceable this step are left out: all of them below the probability
-    floor, a band whose tightened sides cross, and a quadratic whose margin
-    exceeds its radius. mode 'pathwise' returns the exact time-t set
-    (1-t) x0 + t C, member for member, using the realized x0.
+    satisfy_prob = clamp(phi(t)); only the MARGINAL_KINDS admit one. A
+    halfspace tightens to a halfspace and a band to its two sides as
+    halfspaces. Faces with nothing enforceable this step are left out: all
+    of them below the probability floor, and a band whose tightened sides
+    cross. mode 'pathwise' returns the exact time-t set (1-t) x0 + t C,
+    member for member, using the realized x0.
     """
     t = float(t)
     if mode == "marginal":
         for c in cs.members:
-            if not isinstance(c, (LinearIneq, LinearBand, QuadIneq)):
+            if not isinstance(c, MARGINAL_KINDS):
                 raise ValueError(
                     f"{type(c).__name__} has no marginal chance reformulation; "
                     "use pathwise mode")
@@ -153,12 +138,8 @@ def tighten_set(cs: ConstraintSet, t: float, scheduler: Scheduler, mode: str,
         for c in cs.members:
             if isinstance(c, LinearIneq):
                 out.append(tighten_linear(c, t, phi))
-            elif isinstance(c, LinearBand):
-                out.extend(_tighten_band(c, t, phi))
             else:
-                band = tighten_quadratic(c, t, phi)
-                if band is not None:
-                    out.append(band)
+                out.extend(tighten_band(c, t, phi))
         return ConstraintSet(tuple(out), tol=cs.tol)
     if mode == "pathwise":
         if x0 is None:
@@ -176,10 +157,6 @@ def _transport(c, t: float, x0: np.ndarray):
     if isinstance(c, LinearBand):
         shift = (1.0 - t) * float(c.a @ x0)
         return LinearBand(c.a, t * c.lo + shift, t * c.hi + shift)
-    if isinstance(c, QuadIneq):
-        shift = (1.0 - t) * float(c.a @ x0)
-        root = math.sqrt(c.b)
-        return LinearBand(c.a, shift - t * root, shift + t * root)
     if isinstance(c, MinDistance):
         x0_sel = x0 if c.coord_subset is None else x0[list(c.coord_subset)]
         return MinDistance((1.0 - t) * x0_sel + t * c.center, t * c.radius, c.coord_subset)

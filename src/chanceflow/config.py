@@ -11,6 +11,7 @@ Sections and keys::
     [sampler]     algorithm (one or more), stepper, steps, scheduler_n, mode,
                   gn_iters, gn_damping, final_budget, eci_events
     [constraint.K] kind = halfspace | band | quadratic | min_distance, + params
+                  (quadratic: (a.x)^2 <= b, read as the band |a.x| <= sqrt(b))
     [metrics]     reference (path | rejection | simulation),
                   reference_samples, n_projections
     [output]      csv, figures, figure_samples
@@ -19,13 +20,14 @@ Sections and keys::
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chance import Scheduler
-from .constraints import ConstraintSet, LinearBand, LinearIneq, MinDistance, QuadIneq
+from .chance import MARGINAL_KINDS, Scheduler
+from .constraints import ConstraintSet, LinearBand, LinearIneq, MinDistance
 from .errors import ConfigError
 from .flow import EmpiricalTarget, FlowModel, GaussianMixtureTarget, load_matrix
 from .numerics import stream_rng
@@ -140,8 +142,11 @@ def _build_constraint(section: _Section):
                           section.get_typed("lo", float, required=True),
                           section.get_typed("hi", float, required=True))
     if kind == "quadratic":
-        return QuadIneq(_parse_vector(section.get("a", required=True)),
-                        section.get_typed("b", float, required=True))
+        b = section.get_typed("b", float, required=True)
+        if not b > 0.0:
+            raise ConfigError(f"[{section.name}] quadratic bound must be positive, got {b}")
+        root = math.sqrt(b)
+        return LinearBand(_parse_vector(section.get("a", required=True)), -root, root)
     if kind == "min_distance":
         coords = section.get("coords")
         subset = tuple(int(tok) for tok in coords.split()) if coords else None
@@ -229,6 +234,11 @@ def parse_config(path) -> ExperimentConfig:
     mode = sampler.get("mode", default="marginal")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
+    if mode == "marginal" and "ccfm" in algorithms and (
+            kind == "reaction_diffusion"
+            or not all(isinstance(c, MARGINAL_KINDS) for c in constraints)):
+        raise ConfigError("marginal ccfm tightens only halfspace, band and quadratic "
+                          "constraints; set [sampler] mode = pathwise")
     sampler_fields = {
         "stepper": stepper,
         "n_steps": sampler.get_typed("steps", int, default=100),

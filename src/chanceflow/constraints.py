@@ -27,7 +27,6 @@ from .numerics import stream_rng
 __all__ = [
     "LinearIneq",
     "LinearBand",
-    "QuadIneq",
     "MinDistance",
     "SmoothScalar",
     "ConstraintSet",
@@ -117,34 +116,6 @@ class LinearBand:
         if c == s:
             return np.array(x, dtype=float)
         return x + ((c - s) / float(self.a @ self.a)) * self.a
-
-
-@dataclass(frozen=True)
-class QuadIneq:
-    """Squared projection (a.x)^2 <= b, b > 0."""
-
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _unit_or_raise(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if self.b <= 0.0:
-            raise ValueError(f"quadratic bound must be positive, got {self.b}")
-
-    @property
-    def dim(self):
-        return self.a.size
-
-    n_faces = 1
-    has_closed_projection = False
-
-    def face_values(self, x: np.ndarray) -> np.ndarray:
-        s = np.vecdot(x, self.a)
-        return (s * s - self.b)[..., None]
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return (2.0 * float(self.a @ x) * self.a)[None, :]
 
 
 @dataclass(frozen=True)
@@ -281,7 +252,7 @@ class SmoothScalar:
         return self._shaped(self.grad(x), (self.n_faces, self.dim), "gradient")
 
 
-CONSTRAINT_KINDS = (LinearIneq, LinearBand, QuadIneq, MinDistance, SmoothScalar)
+CONSTRAINT_KINDS = (LinearIneq, LinearBand, MinDistance, SmoothScalar)
 
 
 @dataclass(frozen=True)

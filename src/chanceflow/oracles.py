@@ -44,9 +44,10 @@ class McEstimate:
 @dataclass(frozen=True)
 class DistortionReport:
     """How much a constrained sampler bent the flow: distance to a reference
-    batch, terminal feasibility rate, and the average total projection move."""
+    batch (None when either batch has fewer than 2 rows), terminal
+    feasibility rate, and the average total projection move."""
 
-    sliced_w2: float
+    sliced_w2: float | None
     feasibility_rate: float
     mean_projection_move: float
 
@@ -224,11 +225,14 @@ def feasibility_report(records, cs: ConstraintSet, reference: np.ndarray,
     if not records:
         raise ValueError("feasibility_report needs a nonempty batch")
     finals = np.stack([r.x1 for r in records])
+    reference = np.asarray(reference, dtype=float)
     feasible = sum(1 for r in records if max_violation(cs, r.x1) <= cs.tol)
     moves = float(np.mean([float(np.sum(r.projection_moves)) for r in records]))
+    sw2 = None
+    if finals.shape[0] >= 2 and reference.shape[0] >= 2:
+        sw2 = sliced_w2(finals, reference, n_projections=n_projections, rng=rng)
     return DistortionReport(
-        sliced_w2=sliced_w2(finals, np.asarray(reference, dtype=float),
-                            n_projections=n_projections, rng=rng),
+        sliced_w2=sw2,
         feasibility_rate=feasible / len(records),
         mean_projection_move=moves,
     )

@@ -95,8 +95,11 @@ def project_pocs(x: np.ndarray, cs: ConstraintSet,
                  max_cycles: int = _POCS_CYCLES) -> ProjectionReport:
     """Nearest point in an intersection of halfspaces/slabs (Dykstra).
 
-    Cycles through the members of cs in declaration order, each time
-    projecting the current iterate plus its accumulated correction;
+    An x on which every face is <= 0.0 (an empty set included) is returned
+    as a copy with 0 cycles and history (0.0,): a cycle over it would move
+    nothing. A state violating by no more than cs.tol is still projected.
+    Otherwise cycles through the members of cs in declaration order, each
+    time projecting the current iterate plus its accumulated correction;
     converges to the Euclidean projection for consistent convex sets. Stops
     once max_violation is within cs.tol and a cycle moves the iterate by no
     more than cs.tol (relative). Non-convergence within max_cycles is
@@ -108,12 +111,12 @@ def project_pocs(x: np.ndarray, cs: ConstraintSet,
         if not c.has_closed_projection:
             raise TypeError(
                 f"{type(c).__name__} has no closed-form projection; use gauss_newton_project")
-    if not members:
+    viol = max_violation(cs, x0)
+    if viol == 0.0:
         return ProjectionReport(x0.copy(), 0, 0.0, True, (0.0,))
     cur = x0.copy()
     corrections = [np.zeros_like(cur) for _ in members]
     history = []
-    viol = max_violation(cs, cur)
     for cycle in range(1, int(max_cycles) + 1):
         prev = cur
         for i, c in enumerate(members):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .chance import Scheduler, tighten_linear, tighten_set
 from .constraints import (ConstraintSet, LinearBand, LinearIneq, MinDistance,
-                          QuadIneq, max_violation)
+                          max_violation)
 from .flow import (EmpiricalTarget, FlowModel, GaussianMixtureTarget,
                    interpolate, recover_x1)
 from .numerics import normal_cdf, normal_quantile, solve_spd, stream_rng
@@ -93,24 +93,25 @@ def tightening_degenerates_at_t1():
     c = LinearIneq(np.array([0.3, -1.1, 0.4]), -0.25)
     tc = tighten_linear(c, 1.0, 0.99)
     _assert(tc.b == c.b, "t=1 bound differs from the deterministic bound")
-    q = QuadIneq(np.array([1.0, 1.0, 0.0]), 2.0)
+    # The quadratic (a.x)^2 <= 2, as the config reads it.
+    q = LinearBand(np.array([1.0, 1.0, 0.0]), -math.sqrt(2.0), math.sqrt(2.0))
     sched = Scheduler(0.5)
-    half, band = tighten_set(ConstraintSet((c, q)), 1.0, sched, "marginal").members
-    _assert(half.b == c.b and band.hi == math.sqrt(2.0) and band.lo == -math.sqrt(2.0),
+    half, lower, upper = tighten_set(ConstraintSet((c, q)), 1.0, sched, "marginal").members
+    _assert(half.b == c.b and upper.b == math.sqrt(2.0) and lower.b == math.sqrt(2.0),
             "marginal set at t=1 is not the original set")
 
 
 @_check
 def recover_x1_propagates_constraint_values():
     rng = stream_rng(14, 0)
-    c = QuadIneq(np.array([0.5, -0.3, 1.1]), 1.7)
+    c = LinearBand(np.array([0.5, -0.3, 1.1]), -math.sqrt(1.7), math.sqrt(1.7))
     for _ in range(20):
         x0, x1 = rng.standard_normal(3), rng.standard_normal(3)
-        g1 = c.face_values(x1)[0]
+        g1 = c.face_values(x1)
         for t in np.linspace(0.1, 1.0, 10):
             x_t = interpolate(x0, x1, t)
-            gt = c.face_values(recover_x1(x_t, x0, t))[0]
-            _assert(abs(gt - g1) <= 1e-12 * (1 + abs(g1)),
+            gt = c.face_values(recover_x1(x_t, x0, t))
+            _assert(np.all(np.abs(gt - g1) <= 1e-12 * (1 + np.abs(g1))),
                     f"propagated value drifts at t={t}")
 
 
@@ -211,7 +212,7 @@ def ccfm_terminal_feasibility():
 @_check
 def final_refine_reaches_set_tolerance():
     rng = stream_rng(20, 0)
-    cs = ConstraintSet((QuadIneq(np.array([1.0, 0.4]), 0.5),
+    cs = ConstraintSet((LinearBand(np.array([1.0, 0.4]), -math.sqrt(0.5), math.sqrt(0.5)),
                         LinearIneq(np.array([0.0, 1.0]), 0.6)))
     for _ in range(10):
         report = final_refine(2.0 * rng.standard_normal(2), cs)

@@ -16,7 +16,7 @@ import numpy as np
 
 from chanceflow import (BruteForceConfig, ConstraintSet, FlowModel,
                         GaussianMixtureTarget, GnConfig, LinearBand,
-                        LinearIneq, MinDistance, QuadIneq, Scheduler,
+                        LinearIneq, MinDistance, Scheduler,
                         SmoothScalar, SamplerConfig, brute_force_project,
                         feasibility_report, gauss_newton_project,
                         interpolate, max_violation, mc_chance,
@@ -25,7 +25,7 @@ from chanceflow import (BruteForceConfig, ConstraintSet, FlowModel,
                         rd_constraints, rejection_sample, run_batch,
                         sample_rd_problem, simulate_rd, stream_rng,
                         tighten_set, RdGrid, RdProblem)
-from chanceflow.chance import tighten_linear, tighten_quadratic
+from chanceflow.chance import tighten_band, tighten_linear
 from chanceflow.config import (DIRECTION_STREAM, REFERENCE_STREAM,
                                build_workbench, make_sampler_config,
                                parse_config)
@@ -37,6 +37,13 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 T_CHOICES = np.array([0.2, 0.5, 0.8])
 PROB_CHOICES = np.array([0.9, 0.95, 0.99])
 N_MC = 200_000
+
+
+def quadratic(a, b):
+    """The band |a.x| <= sqrt(b) that a config's quadratic (a.x)^2 <= b
+    parses to."""
+    root = math.sqrt(b)
+    return LinearBand(a, -root, root)
 
 
 def random_direction(rng, d):
@@ -87,13 +94,13 @@ def test_c02_two_sided_tightening_conservative_everywhere_tight_at_center():
         sigma = (1.0 - t) / t
         z = normal_quantile((1.0 + prob) / 2.0)
         crit = (sigma * float(np.linalg.norm(a)) * z) ** 2
-        c = QuadIneq(a, crit * float(rng.uniform(1.2, 2.5)))
-        tc = tighten_quadratic(c, t, prob)
-        assert isinstance(tc, LinearBand) and tc.lo == -tc.hi
+        c = quadratic(a, crit * float(rng.uniform(1.2, 2.5)))
+        lower, upper = tighten_band(c, t, prob)
+        assert lower.b == upper.b  # a symmetric band
         ortho = rng.standard_normal(d)
         ortho -= (float(ortho @ a) / float(a @ a)) * a
         for k, lam in enumerate((-1.0, -0.5, 0.0, 0.5, 1.0)):
-            x_t = lam * tc.hi * a / float(a @ a) + 0.3 * ortho
+            x_t = lam * upper.b * a / float(a @ a) + 0.3 * ortho
             est = mc_chance(c, x_t, t, N_MC, stream_rng(104, 10 * i + k))
             floor_margin = min(floor_margin, (est.p_hat - prob) / est.stderr)
             assert est.p_hat >= prob - 3.0 * est.stderr
@@ -105,9 +112,9 @@ def test_c02_two_sided_tightening_conservative_everywhere_tight_at_center():
         prob = float(rng.choice(PROB_CHOICES))
         sigma = (1.0 - t) / t
         z = normal_quantile((1.0 + prob) / 2.0)
-        c = QuadIneq(a, (sigma * float(np.linalg.norm(a)) * z) ** 2)
-        tc = tighten_quadratic(c, t, prob)
-        assert tc is None or abs(tc.hi) <= 1e-12  # collapsed band
+        c = quadratic(a, (sigma * float(np.linalg.norm(a)) * z) ** 2)
+        tc = tighten_band(c, t, prob)
+        assert tc == () or abs(tc[1].b) <= 1e-12  # collapsed band
         est = mc_chance(c, np.zeros(d), t, N_MC, stream_rng(105, i))
         center_worst = max(center_worst, abs(est.p_hat - prob) / est.stderr)
         assert abs(est.p_hat - prob) <= 3.0 * est.stderr
@@ -132,9 +139,9 @@ def test_c03_tightening_degenerates_to_the_original_at_t1():
                                    1.0, sched, "marginal").members
         assert upper.b == hi and lower.b == -lo
         qb = float(rng.uniform(0.1, 4.0))
-        (quad,) = tighten_set(ConstraintSet((QuadIneq(a, qb),)), 1.0, sched,
-                              "marginal").members
-        assert quad.hi == math.sqrt(qb) and quad.lo == -math.sqrt(qb)
+        lower, upper = tighten_set(ConstraintSet((quadratic(a, qb),)), 1.0, sched,
+                                   "marginal").members
+        assert upper.b == math.sqrt(qb) and lower.b == math.sqrt(qb)
 
     # The sampler's final correction (projection onto the t=1 tightened set)
     # must coincide with the plain Euclidean projection onto the clean set.
@@ -154,7 +161,7 @@ def test_c03_tightening_degenerates_to_the_original_at_t1():
         elif kind == 2:
             a = random_direction(rng, d)
             qb = float(rng.uniform(0.1, 2.0))
-            members = (QuadIneq(a, qb),)
+            members = (quadratic(a, qb),)
             plain = LinearBand(a, -math.sqrt(qb), math.sqrt(qb)).project(x)
         else:
             members = (LinearIneq(random_direction(rng, d), float(rng.uniform(-1, 1))),
@@ -183,7 +190,7 @@ def test_c04_constraint_values_propagate_along_linear_paths():
             lo, hi = sorted(rng.uniform(-1.5, 1.5, size=2))
             member = LinearBand(random_direction(rng, d), lo, hi)
         elif kind == 2:
-            member = QuadIneq(0.5 * random_direction(rng, d), float(rng.uniform(0.1, 2.0)))
+            member = quadratic(0.5 * random_direction(rng, d), float(rng.uniform(0.1, 2.0)))
         elif kind == 3:
             member = MinDistance(0.3 * rng.standard_normal(d), float(rng.uniform(0.3, 1.0)))
         else:

@@ -11,14 +11,21 @@ import math
 import numpy as np
 import pytest
 
-from chanceflow import (ConstraintSet, LinearBand, LinearIneq, QuadIneq,
-                        Scheduler, SmoothScalar, interpolate, mc_chance,
-                        normal_quantile, recover_x1, sigma_of_t, tighten_set)
-from chanceflow.chance import PHI_CLAMP, tighten_linear, tighten_quadratic
+from chanceflow import (ConstraintSet, LinearBand, LinearIneq, Scheduler,
+                        SmoothScalar, interpolate, mc_chance, normal_quantile,
+                        project, recover_x1, sigma_of_t, tighten_set)
+from chanceflow.chance import PHI_CLAMP, tighten_band, tighten_linear
 from chanceflow.constraints import MinDistance, max_violation
 from chanceflow.numerics import stream_rng
 
 N_MC = 200_000
+
+
+def quadratic(a, b):
+    """The band |a.x| <= sqrt(b) that a config's quadratic (a.x)^2 <= b
+    parses to."""
+    root = math.sqrt(b)
+    return LinearBand(a, -root, root)
 
 
 # --- scheduler ----------------------------------------------------------------
@@ -119,25 +126,26 @@ def test_linear_monotone_approach_to_clean_bound():
 
 
 def test_quadratic_degenerates_at_t1():
-    c = QuadIneq(np.array([1.0]), 4.0)
-    out = tighten_quadratic(c, 1.0, 0.95)
-    assert isinstance(out, LinearBand)
-    assert out.lo == -2.0 and out.hi == 2.0
+    c = quadratic(np.array([1.0]), 4.0)
+    lower, upper = tighten_band(c, 1.0, 0.95)
+    assert isinstance(lower, LinearIneq) and isinstance(upper, LinearIneq)
+    assert np.array_equal(lower.a, -c.a) and np.array_equal(upper.a, c.a)
+    assert lower.b == 2.0 and upper.b == 2.0
 
 
 def test_quadratic_worked_example():
-    c = QuadIneq(np.array([1.0]), 9.0)
-    out = tighten_quadratic(c, 2.0 / 3.0, 0.95)
+    c = quadratic(np.array([1.0]), 9.0)
+    lower, upper = tighten_band(c, 2.0 / 3.0, 0.95)
     want = (2.0 / 3.0) * (3.0 - 0.5 * normal_quantile(0.975))
-    assert out.hi == pytest.approx(want, abs=1e-15)
-    assert out.hi == pytest.approx(1.346679, abs=1e-6)
-    assert out.lo == -out.hi
+    assert upper.b == pytest.approx(want, abs=1e-15)
+    assert upper.b == pytest.approx(1.346679, abs=1e-6)
+    assert lower.b == upper.b
 
 
 def test_quadratic_infeasible_margin_goes_inactive():
-    c = QuadIneq(np.array([1.0]), 0.01)
-    assert tighten_quadratic(c, 0.1, 0.95) is None
-    # In a set the empty band is left out: nothing is enforced this step.
+    c = quadratic(np.array([1.0]), 0.01)
+    assert tighten_band(c, 0.1, 0.95) == ()
+    # In a set the crossing sides are left out: nothing is enforced this step.
     sched = Scheduler(0.01)
     assert sched.phi(0.1) > 0.95
     assert tighten_set(ConstraintSet((c,)), 0.1, sched, "marginal").members == ()
@@ -145,10 +153,10 @@ def test_quadratic_infeasible_margin_goes_inactive():
 
 def test_quadratic_boundary_is_conservative():
     a = np.array([1.0])
-    c = QuadIneq(a, 9.0)
+    c = quadratic(a, 9.0)
     t, prob = 2.0 / 3.0, 0.95
-    out = tighten_quadratic(c, t, prob)
-    x_t = np.array([out.hi])  # on the upper edge of the band
+    _, upper = tighten_band(c, t, prob)
+    x_t = np.array([upper.b])  # on the upper edge of the band
     est = mc_chance(c, x_t, t, N_MC, stream_rng(31, 1))
     assert est.p_hat >= prob - 3.0 * est.stderr
 
@@ -159,10 +167,10 @@ def test_quadratic_bound_tight_at_zero_mean():
     t, prob = 0.5, 0.9
     sigma = sigma_of_t(t)
     z = normal_quantile((1.0 + prob) / 2.0)
-    c = QuadIneq(np.array([1.0]), (sigma * z) ** 2)
-    out = tighten_quadratic(c, t, prob)
-    assert isinstance(out, LinearBand)
-    assert abs(out.hi) <= 1e-12
+    c = quadratic(np.array([1.0]), (sigma * z) ** 2)
+    out = tighten_band(c, t, prob)
+    assert len(out) == 2  # the sides meet but do not cross
+    assert abs(out[1].b) <= 1e-12 and abs(out[0].b) <= 1e-12
     est = mc_chance(c, np.array([0.0]), t, N_MC, stream_rng(31, 2))
     assert abs(est.p_hat - prob) <= 3.0 * est.stderr
 
@@ -180,12 +188,12 @@ def test_marginal_empty_set_gives_empty_list():
 def test_marginal_set_holds_only_halfspaces_and_bands_with_the_clean_tol():
     cs = ConstraintSet((LinearIneq(np.array([1.0, 0.5]), 0.3),
                         LinearBand(np.array([0.0, 1.0]), -2.0, 2.0),
-                        QuadIneq(np.array([1.0, 1.0]), 4.0)), tol=1e-7)
+                        quadratic(np.array([1.0, 1.0]), 4.0)), tol=1e-7)
     for t in (0.3, 0.7, 1.0):
         out = tighten_set(cs, t, Scheduler(0.5), "marginal")
         assert isinstance(out, ConstraintSet)
         assert out.tol == cs.tol
-        assert [type(c) for c in out.members] == [LinearIneq, LinearIneq, LinearIneq, LinearBand]
+        assert [type(c) for c in out.members] == [LinearIneq] * 5
         assert out.all_closed_form
 
 
@@ -243,7 +251,7 @@ def test_pathwise_feasibility_matches_clean_feasibility():
     rng = stream_rng(31, 3)
     cs = ConstraintSet((
         LinearIneq(np.array([1.0, -0.5]), 0.2),
-        QuadIneq(np.array([0.3, 1.0]), 1.5),
+        quadratic(np.array([0.3, 1.0]), 1.5),
         MinDistance(np.array([1.0, 0.0]), 0.8),
     ))
     sched = Scheduler(1.0)
@@ -323,10 +331,10 @@ def test_tightened_linear_projection():
 
 
 def test_tightened_band_projection_clamps_both_sides():
-    tc = tighten_quadratic(QuadIneq(np.array([1.0]), 0.25), 1.0, 0.9)
-    assert tc.project(np.array([2.0]))[0] == pytest.approx(0.5)
-    assert tc.project(np.array([-2.0]))[0] == pytest.approx(-0.5)
-    assert np.array_equal(tc.project(np.array([0.2])), [0.2])
+    tc = ConstraintSet(tighten_band(quadratic(np.array([1.0]), 0.25), 1.0, 0.9))
+    assert project(np.array([2.0]), tc)[0] == pytest.approx(0.5)
+    assert project(np.array([-2.0]), tc)[0] == pytest.approx(-0.5)
+    assert np.array_equal(project(np.array([0.2]), tc), [0.2])
 
 
 def test_tightened_constraint_validation():

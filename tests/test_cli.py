@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from chanceflow import ConfigError, SampleRecord
+from chanceflow import ConfigError, LinearBand, SampleRecord
 from chanceflow.cli import CSV_HEADER, ResultRow, main, run_experiment
 from chanceflow.config import parse_config
 from chanceflow.figures import emit_figure
@@ -98,6 +98,21 @@ def test_constrained_algorithm_requires_a_constraint(tmp_path):
         parse_config(write_config(tmp_path, text))
 
 
+def test_quadratic_parses_to_the_band_of_its_square_root(tmp_path):
+    text = SMOKE.replace("[metrics]", textwrap.dedent("""\
+        [constraint.slab]
+        kind = quadratic
+        a = 0 2
+        b = 2.25
+
+        [metrics]"""))
+    cfg = parse_config(write_config(tmp_path, text))
+    _, slab = cfg.constraints
+    assert isinstance(slab, LinearBand)
+    assert np.array_equal(slab.a, [0.0, 2.0])
+    assert slab.lo == -1.5 and slab.hi == 1.5
+
+
 def test_missing_file_raises():
     with pytest.raises(ConfigError):
         parse_config("/nonexistent/experiment.cfg")
@@ -130,6 +145,44 @@ def test_out_of_range_coords_exit_2_without_output(tmp_path):
     assert not out.exists()
     assert main(["run", write_config(tmp_path, text.replace("coords = 0 5", "coords = 1 0"),
                                      name="ok.cfg"), "--out-dir", str(out)]) == 0
+
+
+def test_marginal_ccfm_with_min_distance_exits_2_without_output(tmp_path):
+    # Only halfspaces and bands have a marginal chance reformulation, so the
+    # default marginal mode cannot run ccfm on a keep-out ball.
+    text = SMOKE.replace("[metrics]", textwrap.dedent("""\
+        [constraint.ball]
+        kind = min_distance
+        center = 0 0
+        radius = 0.5
+
+        [metrics]"""))
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="mode = pathwise"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    # Without ccfm nothing is tightened, so the same block is accepted.
+    parse_config(write_config(tmp_path, text.replace("algorithm = ccfm vanilla",
+                                                     "algorithm = repeated vanilla"),
+                              name="repeated.cfg"))
+
+
+def test_marginal_ccfm_on_reaction_diffusion_raises(tmp_path):
+    # The reaction-diffusion mass law is a smooth member: pathwise only.
+    text = """\
+        [experiment]
+        id = rd
+        [model]
+        kind = reaction_diffusion
+        [sampler]
+        algorithm = ccfm
+        mode = {mode}
+        """
+    with pytest.raises(ConfigError, match="mode = pathwise"):
+        parse_config(write_config(tmp_path, text.format(mode="marginal")))
+    parse_config(write_config(tmp_path, text.format(mode="pathwise"), name="rd.cfg"))
 
 
 def test_run_writes_csv_and_figures(tmp_path):

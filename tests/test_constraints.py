@@ -1,19 +1,30 @@
 """Constraint families: face values of a state or a batch, hinge residuals,
 active faces, Jacobians, and validation."""
 
+import math
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chanceflow import (ConstraintSet, GradientSingularityError, LinearBand,
-                        LinearIneq, MinDistance, NumericalError, QuadIneq,
+from chanceflow import (ConfigError, ConstraintSet, GradientSingularityError,
+                        LinearBand, LinearIneq, MinDistance, NumericalError,
                         SmoothScalar, final_refine, max_violation)
+from chanceflow.config import parse_config
 from chanceflow.constraints import jacobian_active
 from chanceflow.numerics import stream_rng
 
 HALF = LinearIneq(np.array([1.0, 0.0]), 1.0)
+
+
+def quadratic(a, b):
+    """The band |a.x| <= sqrt(b) that a config's quadratic (a.x)^2 <= b
+    parses to."""
+    root = math.sqrt(b)
+    return LinearBand(a, -root, root)
 
 
 def fd_gradient(cs, x, face, h=1e-6):
@@ -54,7 +65,7 @@ def _batch_cases():
     return [
         ("linear", LinearIneq(a[0], 0.2)),
         ("band", LinearBand(a[1], -0.3, 0.9)),
-        ("quadratic", QuadIneq(a[2], 1.2)),
+        ("quadratic", quadratic(a[2], 1.2)),
         ("min_distance", MinDistance(a[3], 3.0)),
         ("min_distance_subset", MinDistance(a[3, :6], 2.0, coord_subset=(7, 0, 5, 2, 4, 1))),
         ("smooth", smooth1),
@@ -62,7 +73,7 @@ def _batch_cases():
         ("mixed_set", ConstraintSet((
             LinearIneq(a[0], 0.3),
             LinearBand(a[1], -1.0, 1.0),
-            QuadIneq(a[2], 2.0),
+            quadratic(a[2], 2.0),
             MinDistance(np.array([0.5]), 0.5, coord_subset=(1,)),
             smooth1,
         ))),
@@ -86,13 +97,15 @@ def test_one_state_face_values_keep_their_dot_product_formulas():
     a = stream_rng(21, 6).standard_normal((4, 8))
     line = LinearIneq(a[0], 0.2)
     band = LinearBand(a[1], -0.3, 0.9)
-    quad = QuadIneq(a[2], 1.2)
+    quad = quadratic(a[2], 1.2)
+    root = math.sqrt(1.2)
     ball = MinDistance(a[3], 3.0)
     for x in 2.0 * stream_rng(21, 8).standard_normal((300, 8)):
         s = float(a[1] @ x)
+        q = float(a[2] @ x)
         assert line.face_values(x).tolist() == [float(a[0] @ x) - 0.2]
         assert band.face_values(x).tolist() == [-0.3 - s, s - 0.9]
-        assert quad.face_values(x).tolist() == [float(a[2] @ x) ** 2 - 1.2]
+        assert quad.face_values(x).tolist() == [-root - q, q - root]
         assert ball.face_values(x).tolist() == [3.0 - float(np.linalg.norm(x - a[3]))]
 
 
@@ -136,8 +149,10 @@ def test_residual_interior_point_is_zero():
 
 
 def test_residual_quadratic():
-    cs = ConstraintSet((QuadIneq(np.array([1.0]), 4.0),))
-    assert np.array_equal(residuals(cs, np.array([3.0])), [5.0])
+    # (x)^2 <= 4 is |x| <= 2: at x = 3 the upper side is violated by 1.
+    cs = ConstraintSet((quadratic(np.array([1.0]), 4.0),))
+    assert np.array_equal(residuals(cs, np.array([3.0])), [0.0, 1.0])
+    assert np.array_equal(residuals(cs, np.array([-3.0])), [1.0, 0.0])
 
 
 def test_residuals_reject_non_finite_state():
@@ -152,7 +167,7 @@ def test_residuals_are_nonnegative(x):
     cs = ConstraintSet((
         LinearIneq(np.array([1.0, -2.0, 0.5]), 0.3),
         LinearBand(np.array([0.0, 1.0, 1.0]), -1.0, 1.0),
-        QuadIneq(np.array([1.0, 1.0, 1.0]), 2.0),
+        quadratic(np.array([1.0, 1.0, 1.0]), 2.0),
         MinDistance(np.zeros(3), 0.5),
     ))
     assert np.all(residuals(cs, x) >= 0.0)
@@ -179,7 +194,7 @@ def test_active_set_matches_elementwise_signs():
     rng = stream_rng(21, 0)
     cs = ConstraintSet((
         LinearIneq(np.array([1.0, 1.0]), 0.0),
-        QuadIneq(np.array([1.0, -1.0]), 1.0),
+        quadratic(np.array([1.0, -1.0]), 1.0),
         LinearBand(np.array([0.5, 2.0]), -0.5, 0.5),
     ))
     for _ in range(100):
@@ -207,9 +222,13 @@ def test_jacobian_linear_row():
 
 
 def test_jacobian_quadratic_row():
-    cs = ConstraintSet((QuadIneq(np.array([1.0, 0.0]), 1.0),))
-    row = jacobian_active(cs, np.array([2.0, 5.0]), [0])
-    assert np.array_equal(row, [[4.0, 0.0]])
+    # x0^2 <= 1 is |x0| <= 1: the violated upper side's row is a, the
+    # lower side's is -a.
+    cs = ConstraintSet((quadratic(np.array([1.0, 0.0]), 1.0),))
+    x = np.array([2.0, 5.0])
+    assert active_faces(cs, x) == [1]
+    assert np.array_equal(jacobian_active(cs, x, [1]), [[1.0, 0.0]])
+    assert np.array_equal(jacobian_active(cs, -x, [0]), [[-1.0, 0.0]])
 
 
 def test_jacobian_min_distance_row_is_inward_unit():
@@ -244,7 +263,7 @@ def test_jacobians_match_finite_differences_on_probes():
     families = [
         LinearIneq(np.array([1.3, -0.4]), 0.2),
         LinearBand(np.array([0.7, 1.1]), -0.3, 0.9),
-        QuadIneq(np.array([0.5, -1.5]), 1.2),
+        quadratic(np.array([0.5, -1.5]), 1.2),
         MinDistance(np.array([0.2, 0.1]), 0.6),
         SmoothScalar(2, g, grad),
         SmoothScalar(2, two_faces, two_faces_jacobian, n_faces=2),
@@ -269,7 +288,7 @@ def test_jacobians_match_finite_differences_on_probes():
 
 
 def test_max_violation_zero_when_feasible():
-    cs = ConstraintSet((HALF, QuadIneq(np.array([0.0, 1.0]), 4.0)))
+    cs = ConstraintSet((HALF, quadratic(np.array([0.0, 1.0]), 4.0)))
     assert max_violation(cs, np.array([0.0, 0.0])) == 0.0
 
 
@@ -327,9 +346,26 @@ def test_band_rejects_inverted_bounds():
         LinearBand(np.array([1.0]), 2.0, 1.0)
 
 
-def test_quadratic_rejects_nonpositive_bound():
-    with pytest.raises(ValueError):
-        QuadIneq(np.array([1.0]), 0.0)
+def test_quadratic_rejects_nonpositive_bound(tmp_path):
+    # A quadratic exists only as a config block, so its bound is checked there.
+    for bound in ("0", "-1", "nan"):
+        path = tmp_path / "quad.cfg"
+        path.write_text(textwrap.dedent(f"""\
+            [experiment]
+            id = quad
+            [model]
+            kind = mixture
+            means = -1 0; 1 0
+            scales = 0.5
+            [sampler]
+            algorithm = repeated
+            [constraint.q]
+            kind = quadratic
+            a = 1 0
+            b = {bound}
+            """), encoding="utf-8")
+        with pytest.raises(ConfigError, match="quadratic bound must be positive"):
+            parse_config(str(path))
 
 
 def test_min_distance_rejects_bad_radius():

@@ -197,6 +197,16 @@ def test_feasibility_report_counts_violators():
     assert report.feasibility_rate == 0.5
 
 
+def test_feasibility_report_has_no_sliced_w2_below_two_rows():
+    cs = ConstraintSet((LinearIneq(np.array([1.0, 0.0]), 0.0),))
+    one = [fake_record([-0.5, 0.0], [0.0])]
+    two = one + [fake_record([0.5, 0.0], [0.0])]
+    report = feasibility_report(one, cs, np.zeros((5, 2)))
+    assert report.sliced_w2 is None and report.feasibility_rate == 1.0
+    assert feasibility_report(two, cs, np.zeros((1, 2))).sliced_w2 is None
+    assert feasibility_report(two, cs, np.zeros((2, 2))).sliced_w2 > 0.0
+
+
 def test_feasibility_report_rejects_empty_batch():
     cs = ConstraintSet((LinearIneq(np.array([1.0]), 0.0),))
     with pytest.raises(ValueError):

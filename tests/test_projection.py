@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from chanceflow import (ConstraintSet, GnConfig, LinearBand, LinearIneq,
-                        MinDistance, QuadIneq, Scheduler, SmoothScalar,
+                        MinDistance, Scheduler, SmoothScalar,
                         final_refine, gauss_newton_project, interpolate,
                         max_violation, project, project_decomposed,
                         project_pocs, recover_x1, tighten_set)
-from chanceflow.chance import tighten_linear, tighten_quadratic
+from chanceflow.chance import tighten_linear
 from chanceflow.oracles import halfspace_qp_project
 from chanceflow.numerics import stream_rng
 from chanceflow.reaction_diffusion import (RdGrid, RdProblem, rd_constraints,
@@ -44,9 +44,8 @@ def test_project_linear_accepts_tightened_constraint():
 
 
 def test_project_band_clips():
-    # A tightened quadratic is the symmetric band |a.x| <= 2 at t = 1.
-    tc = tighten_quadratic(QuadIneq(np.array([1.0]), 4.0), 1.0, 0.9)
-    assert isinstance(tc, LinearBand)
+    # A config's quadratic (a.x)^2 <= 4 is the symmetric band |a.x| <= 2.
+    tc = LinearBand(np.array([1.0]), -2.0, 2.0)
     assert tc.project(np.array([5.0]))[0] == pytest.approx(2.0)
     assert tc.project(np.array([-5.0]))[0] == pytest.approx(-2.0)
     assert np.array_equal(tc.project(np.array([1.0])), [1.0])
@@ -61,7 +60,8 @@ def test_project_band_linear_band():
 def test_closed_forms_reject_foreign_types():
     # Dykstra cycles only through members with a closed-form projection.
     with pytest.raises(TypeError):
-        project_pocs(np.zeros(1), ConstraintSet((QuadIneq(np.array([1.0]), 1.0),)))
+        project_pocs(np.zeros(1), ConstraintSet((
+            SmoothScalar(1, lambda x: float(x[0] ** 2) - 1.0, lambda x: 2.0 * x),)))
     with pytest.raises(TypeError):
         project_pocs(np.zeros(2), ConstraintSet((LinearIneq(np.array([1.0, 0.0]), 0.0),
                                                  MinDistance(np.zeros(2), 1.0))))
@@ -72,7 +72,7 @@ def test_closed_forms_reject_foreign_types():
 
 _HALF = LinearIneq(np.array([1.0, 0.5, 0.0]), 0.2)
 _BAND = LinearBand(np.array([0.0, 1.0, -1.0]), -0.3, 0.4)
-_QUAD = QuadIneq(np.array([0.5, 0.0, 1.0]), 0.6)
+_RING = MinDistance(np.array([0.5, 0.0, 1.0]), 0.6)
 _SMOOTH = SmoothScalar(3, lambda x: float(x @ x) - 1.0, lambda x: 2.0 * x)
 
 
@@ -82,7 +82,7 @@ _SMOOTH = SmoothScalar(3, lambda x: float(x @ x) - 1.0, lambda x: 2.0 * x)
     ((_BAND,), "closed_form"),
     ((_HALF, _BAND), "pocs"),
     ((_HALF, _BAND, LinearIneq(np.array([0.0, 0.0, 1.0]), -0.1)), "pocs"),
-    ((_QUAD,), "gauss_newton"),
+    ((_RING,), "gauss_newton"),
     ((_HALF, _SMOOTH), "gauss_newton"),
 ])
 def test_project_dispatch(members, route):
@@ -156,6 +156,31 @@ def test_pocs_stops_at_the_set_tolerance():
     assert loose.final_max_violation <= 1e-4
     assert tight.final_max_violation <= 1e-8
     assert loose.iterations < tight.iterations
+
+
+def test_pocs_feasible_input_is_returned_with_zero_cycles():
+    cs = ConstraintSet((LinearIneq(np.array([1.0, 0.0]), 0.0),
+                        LinearBand(np.array([1.0, 1.0]), -1.0, 1.0)), tol=1e-8)
+    rng = stream_rng(41, 7)
+    checked = 0
+    for _ in range(50):
+        x = 0.3 * rng.standard_normal(2) - np.array([0.5, 0.0])
+        if np.max(cs.face_values(x)) > 0.0:
+            continue
+        checked += 1
+        report = project_pocs(x, cs)
+        assert np.array_equal(report.x_out, x) and report.x_out is not x
+        assert report.iterations == 0 and report.history == (0.0,)
+        assert report.converged and report.final_max_violation == 0.0
+    assert checked >= 30
+    # On the boundary every face is <= 0.0, so nothing moves either.
+    on_edge = project_pocs(np.array([0.0, 1.0]), cs)
+    assert on_edge.iterations == 0 and np.array_equal(on_edge.x_out, [0.0, 1.0])
+    # A violation inside (0, tol] is not an exit: one cycle moves it onto
+    # the face.
+    inside_tol = project_pocs(np.array([1e-12, 0.0]), cs)
+    assert inside_tol.iterations == 1
+    assert np.array_equal(inside_tol.x_out, [0.0, 0.0])
 
 
 def test_pocs_empty_input_is_identity():
