@@ -8,14 +8,17 @@ Gaussian-mixture targets the marginal velocity has a closed form,
 
 where xhat1 is the posterior mean of the endpoint given the current state;
 no network and no training enter anywhere.
+
+The posterior weights are normalized by a NumPy log-sum-exp that performs
+``scipy.special.logsumexp``'s arithmetic in the same order, without its
+array-API dispatch, so the velocity is bitwise what SciPy's would give.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "T_CLAMP",
@@ -46,12 +49,35 @@ def _normalized_weights(weights, m: int) -> np.ndarray:
     return w / total
 
 
+def _log_weights(w: np.ndarray) -> np.ndarray:
+    # A zero weight is allowed; its component gets log-weight -inf, silently.
+    with np.errstate(divide="ignore"):
+        return np.log(w)
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D array with at least one finite entry.
+
+    The arithmetic of ``scipy.special.logsumexp`` in its order: the maximal
+    entries are separated out of the sum and counted, so the result is
+    bitwise SciPy's.
+    """
+    a_max = a.max()
+    top = a == a_max
+    m = float(np.count_nonzero(top))
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+    if s != 0.0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + a_max
+
+
 @dataclass(frozen=True)
 class EmpiricalTarget:
     """Finite atom set {a_i} with optional probability weights."""
 
     atoms: np.ndarray
     weights: np.ndarray | None = None
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
@@ -61,6 +87,7 @@ class EmpiricalTarget:
             raise ValueError("atoms must be finite")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", _normalized_weights(self.weights, atoms.shape[0]))
+        object.__setattr__(self, "log_weights", _log_weights(self.weights))
 
     @property
     def dim(self) -> int:
@@ -74,6 +101,8 @@ class GaussianMixtureTarget:
     means: np.ndarray
     scales: np.ndarray
     weights: np.ndarray | None = None
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    scales_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float)
@@ -87,6 +116,8 @@ class GaussianMixtureTarget:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "weights", _normalized_weights(self.weights, means.shape[0]))
+        object.__setattr__(self, "log_weights", _log_weights(self.weights))
+        object.__setattr__(self, "scales_sq", scales**2)
 
     @property
     def dim(self) -> int:
@@ -110,29 +141,35 @@ class FlowModel:
         target) or N(t mu_j, (t^2 s_j^2 + (1-t)^2) I) (mixture). Weights are
         computed in log space and normalized by log-sum-exp.
         """
+        return self._posterior(*self._check_state(x, t))
+
+    def velocity(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Exact marginal velocity u(x, t) = (xhat1 - x) / (1 - t)."""
+        x, t = self._check_state(x, t)
+        xhat, _ = self._posterior(x, t)
+        return (xhat - x) / (1.0 - t)
+
+    def _check_state(self, x, t) -> tuple[np.ndarray, float]:
         x = np.asarray(x, dtype=float)
         t = _check_time(t)
         if x.shape != (self.dim,):
             raise ValueError(f"state shape {x.shape} does not match dimension {self.dim}")
+        return x, t
+
+    def _posterior(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         tgt = self.target
         if isinstance(tgt, EmpiricalTarget):
             diff = x[None, :] - t * tgt.atoms
-            logw = np.log(tgt.weights) - np.einsum("ij,ij->i", diff, diff) / (2.0 * (1.0 - t) ** 2)
-            w = np.exp(logw - logsumexp(logw))
+            logw = tgt.log_weights - np.einsum("ij,ij->i", diff, diff) / (2.0 * (1.0 - t) ** 2)
+            w = np.exp(logw - _logsumexp(logw))
             return w @ tgt.atoms, w
-        var = t * t * tgt.scales**2 + (1.0 - t) ** 2
+        var = t * t * tgt.scales_sq + (1.0 - t) ** 2
         diff = x[None, :] - t * tgt.means
         sq = np.einsum("ij,ij->i", diff, diff)
-        logw = np.log(tgt.weights) - 0.5 * self.dim * np.log(var) - sq / (2.0 * var)
-        w = np.exp(logw - logsumexp(logw))
-        cond_means = tgt.means + (t * tgt.scales**2 / var)[:, None] * diff
+        logw = tgt.log_weights - 0.5 * self.dim * np.log(var) - sq / (2.0 * var)
+        w = np.exp(logw - _logsumexp(logw))
+        cond_means = tgt.means + (t * tgt.scales_sq / var)[:, None] * diff
         return w @ cond_means, w
-
-    def velocity(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Exact marginal velocity u(x, t) = (xhat1 - x) / (1 - t)."""
-        t = _check_time(t)
-        xhat, _ = self.posterior_mean(x, t)
-        return (xhat - np.asarray(x, dtype=float)) / (1.0 - t)
 
 
 def _check_time(t: float) -> float:

@@ -1,13 +1,15 @@
 """Path algebra and the exact marginal velocity field."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from chanceflow import (EmpiricalTarget, FlowModel, GaussianMixtureTarget,
                         interpolate, load_matrix, recover_x1)
-from chanceflow.flow import T_CLAMP
+from chanceflow.flow import T_CLAMP, _logsumexp
 from chanceflow.numerics import stream_rng
 
 
@@ -207,6 +209,85 @@ def test_target_validation():
 def test_weights_are_normalized():
     target = EmpiricalTarget(np.array([[0.0], [1.0]]), weights=np.array([2.0, 6.0]))
     assert np.allclose(target.weights, [0.25, 0.75], atol=1e-15)
+
+
+def test_zero_weight_component_is_silent_and_drops_out():
+    means = np.array([[-2.0, 0.0], [2.0, 0.0]])
+    model = FlowModel(GaussianMixtureTarget(means, 0.4, weights=[1.0, 0.0]))
+    alone = FlowModel(GaussianMixtureTarget(means[:1], 0.4))
+    rng = stream_rng(11, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in np.linspace(0.0, 1.0, 100):
+            x = 2.0 * rng.standard_normal(2)
+            assert np.array_equal(model.velocity(x, t), alone.velocity(x, t))
+            assert model.posterior_mean(x, t)[1][1] == 0.0
+
+
+# --- bitwise agreement with SciPy's log-sum-exp ------------------------------
+
+
+def _same_bits(got, want) -> bool:
+    return np.asarray(got, dtype=float).view(np.uint64) == np.asarray(want, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 40])
+def test_logsumexp_equals_scipy_bitwise(m):
+    rng = stream_rng(12, m)
+    for k in range(1500):
+        scale = (1e-3, 1.0, 30.0, 300.0)[k % 4]
+        a = scale * rng.uniform(-1.0, 1.0, m)
+        if m > 1 and k % 3 == 1:  # ties at the maximum
+            a[rng.choice(m, size=rng.integers(2, m + 1), replace=False)] = a.max()
+        if m > 1 and k % 5 == 2:  # -inf entries, at least one finite entry left
+            a[rng.choice(m, size=rng.integers(1, m), replace=False)] = -np.inf
+        assert _same_bits(_logsumexp(a), logsumexp(a)), a
+
+
+def _reference_posterior(model, x, t):
+    """The velocity's formulas with SciPy's logsumexp and per-call constants."""
+    tgt = model.target
+    x = np.asarray(x, dtype=float)
+    t = min(float(t), T_CLAMP)
+    if isinstance(tgt, EmpiricalTarget):
+        diff = x[None, :] - t * tgt.atoms
+        logw = np.log(tgt.weights) - np.einsum("ij,ij->i", diff, diff) / (2.0 * (1.0 - t) ** 2)
+        w = np.exp(logw - logsumexp(logw))
+        xhat = w @ tgt.atoms
+    else:
+        var = t * t * tgt.scales**2 + (1.0 - t) ** 2
+        diff = x[None, :] - t * tgt.means
+        sq = np.einsum("ij,ij->i", diff, diff)
+        logw = np.log(tgt.weights) - 0.5 * model.dim * np.log(var) - sq / (2.0 * var)
+        w = np.exp(logw - logsumexp(logw))
+        cond_means = tgt.means + (t * tgt.scales**2 / var)[:, None] * diff
+        xhat = w @ cond_means
+    return xhat, w, (xhat - x) / (1.0 - t)
+
+
+def _axis_modes(d, k):
+    """Modes at +2 and -2 on each of the first k axes of R^d."""
+    means = np.zeros((2 * k, d))
+    means[np.arange(2 * k), np.arange(2 * k) // 2] = np.tile([2.0, -2.0], k)
+    return means
+
+
+@pytest.mark.parametrize("model", [
+    FlowModel(GaussianMixtureTarget(np.array([[-2.0, 0.0], [2.0, 0.0]]), 0.4)),  # benchmark_2d
+    FlowModel(GaussianMixtureTarget(_axis_modes(8, 4), 0.5)),  # mix8_threads
+    FlowModel(EmpiricalTarget(stream_rng(13, 0).standard_normal((12, 640)),
+                              stream_rng(13, 1).uniform(0.1, 1.0, 12))),
+], ids=["mixture_2d", "mixture_8d", "empirical_640"])
+def test_velocity_is_bitwise_the_scipy_formula(model):
+    rng = stream_rng(13, model.dim)
+    states = 2.0 * rng.standard_normal((6, model.dim))
+    for t in [k / 100 for k in range(101)]:
+        for x in states:
+            xhat, w, u = _reference_posterior(model, x, t)
+            got_xhat, got_w = model.posterior_mean(x, t)
+            assert np.array_equal(got_xhat, xhat)
+            assert np.array_equal(got_w, w)
+            assert np.array_equal(model.velocity(x, t), u)
 
 
 # --- dataset loading ---------------------------------------------------------
