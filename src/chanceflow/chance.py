@@ -55,8 +55,8 @@ class Scheduler:
     n: float
 
     def __post_init__(self):
-        if not float(self.n) > 0.0:
-            raise ValueError(f"scheduler exponent must be positive, got {self.n}")
+        if not 0.0 < float(self.n) < np.inf:
+            raise ValueError(f"scheduler exponent must be positive and finite, got {self.n}")
         object.__setattr__(self, "n", float(self.n))
 
     def phi(self, t: float) -> float:

@@ -12,21 +12,21 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import (DIRECTION_STREAM, ExperimentConfig, Workbench,
-                     build_workbench, make_sampler_config, parse_config)
+                     build_workbench, parse_config)
 # max_violation and sliced_w2 are reached through feasibility_report; they
 # stay importable here because perfbench/spans.py hooks them at this site.
 from .constraints import max_violation  # noqa: F401
 from .errors import ConfigError, NumericalError, OracleFailure
 from .figures import emit_figure
 from .numerics import stream_rng
-from .oracles import feasibility_report, sliced_w2  # noqa: F401
+from .oracles import feasibility_report, moment_errors, sliced_w2  # noqa: F401
 from .reaction_diffusion import rd_violation_split
-from .samplers import run_batch
+from .samplers import SamplerConfig, run_batch
 
 __all__ = ["ResultRow", "CSV_HEADER", "run_experiment", "main"]
 
@@ -75,24 +75,22 @@ def _format_cell(value) -> str:
     return format(float(value), ".9g")
 
 
-def _result_row(cfg: ExperimentConfig, bench: Workbench, algorithm: str,
-                seed: int, records) -> ResultRow:
+def _result_row(cfg: ExperimentConfig, bench: Workbench, scfg: SamplerConfig,
+                records) -> ResultRow:
     finals = np.stack([r.x1 for r in records])
-    ref = bench.reference
-    report = feasibility_report(records, bench.cs, ref, n_projections=cfg.n_projections,
-                                rng=stream_rng(seed, DIRECTION_STREAM))
-    mmse = float(np.mean((finals.mean(axis=0) - ref.mean(axis=0)) ** 2))
-    smse = (float(np.mean((finals.std(axis=0) - ref.std(axis=0)) ** 2))
-            if finals.shape[0] >= 2 else None)
+    report = feasibility_report(records, bench.cs, bench.reference,
+                                n_projections=cfg.n_projections,
+                                rng=stream_rng(scfg.seed, DIRECTION_STREAM))
+    mmse, smse = moment_errors(finals, bench.reference)
     cv_ic = cv_cl = None
     if bench.is_rd:
         cv_ic, cv_cl = rd_violation_split(finals, bench.cs)
     return ResultRow(
         experiment=cfg.experiment_id,
-        algorithm=algorithm,
-        steps=cfg.sampler["n_steps"],
-        scheduler_n=cfg.sampler["scheduler_n"],
-        seed=seed,
+        algorithm=scfg.algorithm,
+        steps=scfg.n_steps,
+        scheduler_n=scfg.scheduler.n,
+        seed=scfg.seed,
         feasibility_rate=report.feasibility_rate,
         sliced_w2=report.sliced_w2,
         mmse=mmse,
@@ -118,25 +116,25 @@ def run_experiment(cfg_path, seed: int | None = None, out_dir: str = ".",
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 2
-    eff_seed = cfg.seed if seed is None else int(seed)
+    seed = cfg.samplers[0].seed if seed is None else int(seed)
     try:
-        bench = build_workbench(cfg, eff_seed)
+        bench = build_workbench(cfg, seed)
         infeasible = 0
         rows = []
         batches = {}
-        for algorithm in cfg.algorithms:
-            scfg = make_sampler_config(cfg, algorithm, eff_seed)
+        for scfg in cfg.samplers:
+            scfg = replace(scfg, seed=seed)
             records = run_batch(bench.model, bench.cs, scfg, threads=threads)
-            batches[algorithm] = records
-            log.info("%s: %d samples, total sampling time %.3fs", algorithm,
+            batches[scfg.algorithm] = records
+            log.info("%s: %d samples, total sampling time %.3fs", scfg.algorithm,
                      len(records), sum(r.wall_time for r in records))
-            if algorithm != "vanilla":
+            if scfg.algorithm != "vanilla":
                 for i, r in enumerate(records):
                     if not r.refine_converged or r.final_violation > bench.cs.tol:
                         log.error("%s sample %d infeasible after final refinement "
-                                  "(max violation %.3e)", algorithm, i, r.final_violation)
+                                  "(max violation %.3e)", scfg.algorithm, i, r.final_violation)
                         infeasible += 1
-            rows.append(_result_row(cfg, bench, algorithm, eff_seed, records))
+            rows.append(_result_row(cfg, bench, scfg, records))
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(rows, os.path.join(out_dir, cfg.csv_name))
         for kind in cfg.figures:

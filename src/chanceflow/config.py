@@ -2,7 +2,10 @@
 
 A config names a target model, an optional list of constraint blocks, the
 sampler settings, metric settings, and output names. Everything is validated
-up front so a bad file fails before any computation or file output starts.
+up front so a bad file fails before any sampling or file output starts:
+each setting is checked by the object it configures (constraints and
+samplers in parse_config, the model in build_workbench), whose ValueError
+becomes a ConfigError. tol applies to mixture and empirical models only.
 
 Sections and keys::
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,10 +37,9 @@ from .numerics import stream_rng
 from .oracles import rejection_sample
 from .projection import GnConfig
 from .reaction_diffusion import RdGrid, rd_constraints, rd_dataset
-from .samplers import ALGORITHMS, MODES, STEPPERS, SamplerConfig
+from .samplers import SamplerConfig
 
-__all__ = ["ExperimentConfig", "Workbench", "parse_config", "build_workbench",
-           "make_sampler_config"]
+__all__ = ["ExperimentConfig", "Workbench", "parse_config", "build_workbench"]
 
 # Dedicated RNG stream ids, far above any sample index.
 REFERENCE_STREAM = 2**48 + 1
@@ -77,15 +79,14 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config; samplers holds one SamplerConfig per listed algorithm."""
+
     experiment_id: str
-    seed: int
-    samples: int
     tol: float
     model_kind: str
     model_params: dict
     constraints: tuple
-    algorithms: tuple
-    sampler: dict
+    samplers: tuple
     reference: str
     reference_samples: int
     n_projections: int
@@ -130,6 +131,18 @@ class _Section:
             return cast(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"[{self.name}] {key} = {raw!r}: {exc}") from exc
+
+    def get_name(self, key: str, default=None) -> str:
+        name = self.get(key, default=default, required=default is None)
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ConfigError(f"[{self.name}] {key} = {name!r} is not a plain file name")
+        return name
+
+    def get_count(self, key: str, default: int) -> int:
+        value = self.get_typed(key, int, default=default)
+        if value < 1:
+            raise ConfigError(f"[{self.name}] {key} must be at least 1, got {value}")
+        return value
 
 
 def _build_constraint(section: _Section):
@@ -176,10 +189,32 @@ def _model_params(section: _Section, kind: str) -> dict:
             "nu": section.get_typed("nu", float, default=0.005),
             "rho": section.get_typed("rho", float, default=0.01),
             "delta": section.get_typed("delta", float, default=1e-10),
-            "train_fields": section.get_typed("train_fields", int, default=12),
+            "train_fields": section.get_count("train_fields", 12),
             "data_seed": section.get_typed("data_seed", int, default=0),
         }
     raise ConfigError(f"unknown model kind {kind!r}")
+
+
+def _sampler_configs(section: _Section, exp: _Section) -> tuple:
+    """One SamplerConfig per listed algorithm; the sampler objects check
+    every value."""
+    algorithms = section.get("algorithm", default="ccfm").split()
+    if not algorithms or len(set(algorithms)) < len(algorithms):
+        raise ConfigError("[sampler] algorithm must list one or more distinct algorithms")
+    first = SamplerConfig(
+        algorithm=algorithms[0],
+        stepper=section.get("stepper", default="euler"),
+        n_steps=section.get_typed("steps", int, default=100),
+        scheduler=Scheduler(section.get_typed("scheduler_n", float, default=0.5)),
+        mode=section.get("mode", default="marginal"),
+        gn=GnConfig(lam=section.get_typed("gn_damping", float, default=1e-6),
+                    max_iters=section.get_typed("gn_iters", int, default=1)),
+        final_budget=section.get_typed("final_budget", int, default=30),
+        seed=exp.get_typed("seed", int, default=0),
+        samples=exp.get_typed("samples", int, default=100),
+        eci_events=section.get_typed("eci_events", int, default=2),
+    )
+    return tuple(replace(first, algorithm=alg) for alg in algorithms)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -208,137 +243,93 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"missing section [{required}]")
 
     exp = sections["experiment"]
-    model = sections["model"]
-    sampler = sections["sampler"]
     metrics = sections.get("metrics", _Section("metrics", {}, _SECTION_KEYS["metrics"]))
     output = sections.get("output", _Section("output", {}, _SECTION_KEYS["output"]))
 
-    kind = model.get("kind", required=True)
+    kind = sections["model"].get("kind", required=True)
+    is_rd = kind == "reaction_diffusion"
     try:
         constraints = tuple(_build_constraint(s) for s in constraint_sections)
-    except (ValueError, TypeError) as exc:
+        samplers = _sampler_configs(sections["sampler"], exp)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if kind == "reaction_diffusion" and constraints:
-        raise ConfigError("reaction_diffusion builds its own constraints; "
-                          "remove the [constraint.*] blocks")
+    if is_rd and (constraints or exp.get("tol") is not None):
+        raise ConfigError("reaction_diffusion builds its own constraints with tolerance "
+                          "delta; remove [experiment] tol and the [constraint.*] blocks")
+    for scfg in samplers:
+        if scfg.algorithm == "ccfm" and scfg.mode == "marginal" and (
+                is_rd or not all(isinstance(c, MARGINAL_KINDS) for c in constraints)):
+            raise ConfigError("marginal ccfm tightens only halfspace, band and quadratic "
+                              "constraints; set [sampler] mode = pathwise")
+        if scfg.algorithm != "vanilla" and not is_rd and not constraints:
+            raise ConfigError(f"algorithm {scfg.algorithm!r} needs at least one "
+                              "[constraint.*] block")
+    tol = exp.get_typed("tol", float, default=1e-8)
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
 
-    algorithms = tuple(sampler.get("algorithm", default="ccfm").split())
-    for alg in algorithms:
-        if alg not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {alg!r}")
-    if not algorithms:
-        raise ConfigError("[sampler] algorithm must name at least one algorithm")
-    stepper = sampler.get("stepper", default="euler")
-    if stepper not in STEPPERS:
-        raise ConfigError(f"unknown stepper {stepper!r}")
-    mode = sampler.get("mode", default="marginal")
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "marginal" and "ccfm" in algorithms and (
-            kind == "reaction_diffusion"
-            or not all(isinstance(c, MARGINAL_KINDS) for c in constraints)):
-        raise ConfigError("marginal ccfm tightens only halfspace, band and quadratic "
-                          "constraints; set [sampler] mode = pathwise")
-    sampler_fields = {
-        "stepper": stepper,
-        "n_steps": sampler.get_typed("steps", int, default=100),
-        "scheduler_n": sampler.get_typed("scheduler_n", float, default=0.5),
-        "mode": mode,
-        "gn_iters": sampler.get_typed("gn_iters", int, default=1),
-        "gn_damping": sampler.get_typed("gn_damping", float, default=1e-6),
-        "final_budget": sampler.get_typed("final_budget", int, default=30),
-        "eci_events": sampler.get_typed("eci_events", int, default=2),
-    }
-
-    reference = metrics.get("reference",
-                            default="simulation" if kind == "reaction_diffusion"
-                            else "rejection")
-    figures_raw = output.get("figures", default="")
-    figures = tuple(figures_raw.split())
+    reference = metrics.get("reference", default="simulation" if is_rd else "rejection")
+    if is_rd and reference != "simulation":
+        raise ConfigError("reaction_diffusion supports only reference = simulation")
+    if reference == "simulation" and not is_rd:
+        raise ConfigError("reference = simulation requires a reaction_diffusion model")
+    figures = tuple(output.get("figures", default="").split())
     for fig in figures:
         if fig not in _FIGURE_KINDS:
             raise ConfigError(f"unknown figure kind {fig!r}")
 
-    cfg = ExperimentConfig(
-        experiment_id=exp.get("id", required=True),
-        seed=exp.get_typed("seed", int, default=0),
-        samples=exp.get_typed("samples", int, default=100),
-        tol=exp.get_typed("tol", float, default=1e-8),
+    return ExperimentConfig(
+        experiment_id=exp.get_name("id"),
+        tol=tol,
         model_kind=kind,
-        model_params=_model_params(model, kind),
+        model_params=_model_params(sections["model"], kind),
         constraints=constraints,
-        algorithms=algorithms,
-        sampler=sampler_fields,
+        samplers=samplers,
         reference=reference,
-        reference_samples=metrics.get_typed("reference_samples", int, default=512),
-        n_projections=metrics.get_typed("n_projections", int, default=128),
-        csv_name=output.get("csv", default="results.csv"),
+        reference_samples=metrics.get_count("reference_samples", 512),
+        n_projections=metrics.get_count("n_projections", 128),
+        csv_name=output.get_name("csv", default="results.csv"),
         figures=figures,
-        figure_samples=output.get_typed("figure_samples", int, default=8),
+        figure_samples=output.get_count("figure_samples", 8),
         base_dir=os.path.dirname(os.path.abspath(path)),
     )
-    if cfg.samples < 1:
-        raise ConfigError("samples must be positive")
-    if cfg.tol <= 0.0:
-        raise ConfigError("tol must be positive")
-    if cfg.sampler["n_steps"] < 1:
-        raise ConfigError("steps must be positive")
-    if cfg.sampler["scheduler_n"] <= 0.0:
-        raise ConfigError("scheduler_n must be positive")
-    needs_cs = any(alg != "vanilla" for alg in cfg.algorithms)
-    if needs_cs and kind != "reaction_diffusion" and not constraints:
-        raise ConfigError(
-            f"algorithms {cfg.algorithms} need at least one [constraint.*] block")
-    return cfg
 
 
-def make_sampler_config(cfg: ExperimentConfig, algorithm: str,
-                        seed: int) -> SamplerConfig:
-    s = cfg.sampler
-    return SamplerConfig(
-        algorithm=algorithm,
-        stepper=s["stepper"],
-        n_steps=s["n_steps"],
-        scheduler=Scheduler(s["scheduler_n"]),
-        mode=s["mode"],
-        gn=GnConfig(lam=s["gn_damping"], max_iters=s["gn_iters"]),
-        final_budget=s["final_budget"],
-        seed=seed,
-        samples=cfg.samples,
-        eci_events=s["eci_events"],
-    )
-
-
-def _resolve(cfg: ExperimentConfig, path: str) -> str:
-    return path if os.path.isabs(path) else os.path.join(cfg.base_dir, path)
+def _load(cfg: ExperimentConfig, path: str, what: str) -> np.ndarray:
+    path = path if os.path.isabs(path) else os.path.join(cfg.base_dir, path)
+    try:
+        return load_matrix(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load {what}: {exc}") from exc
 
 
 def build_workbench(cfg: ExperimentConfig, seed: int) -> Workbench:
     """Construct the model, constraint set, and reference batch."""
     params = cfg.model_params
-    if cfg.model_kind == "reaction_diffusion":
-        grid = RdGrid(n_s=params["n_s"], n_t=params["n_t"], dt_phys=params["dt_phys"])
-        fields, problems = rd_dataset(
-            grid, params["train_fields"] + 1, params["data_seed"],
-            nu=params["nu"], rho=params["rho"], delta=params["delta"])
-        # Problem 0 is held out: its constraints define the task and its
-        # solution is the reference; the target only sees the other fields.
-        model = FlowModel(EmpiricalTarget(fields[1:]))
-        cs = rd_constraints(problems[0])
-        if cfg.reference != "simulation":
-            raise ConfigError("reaction_diffusion supports only reference = simulation")
+    is_rd = cfg.model_kind == "reaction_diffusion"
+    try:
+        if is_rd:
+            grid = RdGrid(n_s=params["n_s"], n_t=params["n_t"], dt_phys=params["dt_phys"])
+            fields, problems = rd_dataset(
+                grid, params["train_fields"] + 1, params["data_seed"],
+                nu=params["nu"], rho=params["rho"], delta=params["delta"])
+            # Problem 0 is held out: its constraints define the task and its
+            # solution is the reference; the target only sees the other fields.
+            target = EmpiricalTarget(fields[1:])
+            cs = rd_constraints(problems[0])
+        elif cfg.model_kind == "mixture":
+            target = GaussianMixtureTarget(params["means"], params["scales"],
+                                           params["weights"])
+        else:
+            target = EmpiricalTarget(_load(cfg, params["path"], "atoms"))
+    except ValueError as exc:
+        raise ConfigError(f"[model] {exc}") from exc
+    model = FlowModel(target)
+    if "trajectory_2d" in cfg.figures and model.dim != 2:
+        raise ConfigError(f"trajectory_2d figures need a 2-D model, got dimension {model.dim}")
+    if is_rd:
         return Workbench(model=model, cs=cs, reference=fields[:1], is_rd=True)
 
-    if cfg.model_kind == "mixture":
-        target = GaussianMixtureTarget(params["means"], params["scales"],
-                                       params["weights"])
-    else:
-        try:
-            atoms = load_matrix(_resolve(cfg, params["path"]))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load atoms: {exc}") from exc
-        target = EmpiricalTarget(atoms)
-    model = FlowModel(target)
     for member in cfg.constraints:
         if member.dim is not None and member.dim != model.dim:
             raise ConfigError(
@@ -350,16 +341,11 @@ def build_workbench(cfg: ExperimentConfig, seed: int) -> Workbench:
                               f"model dimension {model.dim}")
     cs = ConstraintSet(cfg.constraints, tol=cfg.tol)
 
-    if cfg.reference == "simulation":
-        raise ConfigError("reference = simulation requires a reaction_diffusion model")
     if cfg.reference == "rejection":
         reference = rejection_sample(target, cs, cfg.reference_samples,
                                      stream_rng(seed, REFERENCE_STREAM))
     else:
-        try:
-            reference = load_matrix(_resolve(cfg, cfg.reference))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load reference batch: {exc}") from exc
+        reference = _load(cfg, cfg.reference, "reference batch")
         if reference.shape[1] != model.dim:
             raise ConfigError(
                 f"reference dimension {reference.shape[1]} != model dimension {model.dim}")

@@ -31,6 +31,7 @@ __all__ = [
     "SmoothScalar",
     "ConstraintSet",
     "jacobian_active",
+    "hinge_max",
     "max_violation",
 ]
 
@@ -60,6 +61,8 @@ class LinearIneq:
     def __post_init__(self):
         object.__setattr__(self, "a", _unit_or_raise(self.a))
         object.__setattr__(self, "b", float(self.b))
+        if np.isnan(self.b):
+            raise ValueError("halfspace bound must not be NaN")
 
     @property
     def dim(self):
@@ -93,7 +96,7 @@ class LinearBand:
         object.__setattr__(self, "a", _unit_or_raise(self.a))
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        if self.lo > self.hi:
+        if not self.lo <= self.hi:
             raise ValueError(f"band requires lo <= hi, got [{self.lo}, {self.hi}]")
 
     @property
@@ -342,9 +345,11 @@ def jacobian_active(cs: ConstraintSet, x, active: list[int]) -> np.ndarray:
     return np.stack(rows)
 
 
+def hinge_max(vals: np.ndarray) -> float:
+    """Largest hinge residual max(0, max vals) of face values; 0.0 for none."""
+    return float(max(0.0, vals.max())) if vals.size else 0.0
+
+
 def max_violation(cs: ConstraintSet, x) -> float:
     """Largest hinge residual; 0.0 when feasible or the set is empty."""
-    vals = cs.face_values(x)
-    if vals.size == 0:
-        return 0.0
-    return float(max(0.0, vals.max()))
+    return hinge_max(cs.face_values(x))

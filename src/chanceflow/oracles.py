@@ -25,6 +25,7 @@ __all__ = [
     "mc_chance",
     "brute_force_project",
     "sliced_w2",
+    "moment_errors",
     "feasibility_report",
     "halfspace_qp_project",
     "sample_target",
@@ -216,6 +217,15 @@ def sliced_w2(batch_a: np.ndarray, batch_b: np.ndarray, n_projections: int = 128
         qb = np.quantile(pb, levels, axis=0)
     w2sq = np.mean((qa - qb) ** 2, axis=0)
     return float(np.sqrt(d * np.mean(w2sq)))
+
+
+def moment_errors(generated: np.ndarray, reference: np.ndarray) -> tuple:
+    """(mmse, smse): mean squared error over coordinates of a batch's mean
+    and standard deviation against a reference; smse is None for one sample."""
+    mmse = float(np.mean((generated.mean(axis=0) - reference.mean(axis=0)) ** 2))
+    smse = (float(np.mean((generated.std(axis=0) - reference.std(axis=0)) ** 2))
+            if generated.shape[0] >= 2 else None)
+    return mmse, smse
 
 
 def feasibility_report(records, cs: ConstraintSet, reference: np.ndarray,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, jacobian_active, max_violation
+from .constraints import ConstraintSet, hinge_max, jacobian_active, max_violation
 from .errors import GradientSingularityError
 from .flow import interpolate, recover_x1
 from .numerics import solve_spd, stream_rng
@@ -51,8 +51,8 @@ class GnConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError("ridge parameter must be positive")
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError(f"ridge parameter must be positive and finite, got {self.lam}")
         if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iters < 0:
@@ -145,7 +145,7 @@ def gauss_newton_project(x: np.ndarray, cs: ConstraintSet,
     iterations = 0
     while True:
         vals = cs.face_values(x)
-        viol = float(max(0.0, vals.max())) if vals.size else 0.0
+        viol = hinge_max(vals)
         history.append(viol)
         if viol <= cfg.tol:
             return ProjectionReport(x, iterations, viol, True, tuple(history))
@@ -187,8 +187,7 @@ def final_refine(x: np.ndarray, cs: ConstraintSet, budget: int = 30) -> Projecti
     for member in cs.members:
         if member.has_closed_projection:
             y = member.project(y)
-    vals = cs.face_values(y)
-    viol = float(max(0.0, vals.max())) if vals.size else 0.0
+    viol = max_violation(cs, y)
     return ProjectionReport(y, report.iterations, viol, viol <= cs.tol,
                             report.history + (viol,))
 

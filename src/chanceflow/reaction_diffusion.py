@@ -28,6 +28,7 @@ import scipy.linalg
 from .constraints import ConstraintSet, LinearBand, SmoothScalar
 from .errors import NumericalError
 from .numerics import stream_rng
+from .oracles import moment_errors
 
 __all__ = [
     "RdGrid",
@@ -55,8 +56,8 @@ class RdGrid:
     def __post_init__(self):
         if self.n_s < 4 or self.n_t < 2:
             raise ValueError("grid needs n_s >= 4 and n_t >= 2")
-        if self.length <= 0.0 or self.dt_phys <= 0.0:
-            raise ValueError("length and dt_phys must be positive")
+        if not (0.0 < self.length < np.inf and 0.0 < self.dt_phys < np.inf):
+            raise ValueError("length and dt_phys must be positive and finite")
 
     @property
     def d(self) -> int:
@@ -91,10 +92,10 @@ class RdProblem:
     delta: float = 1e-10
 
     def __post_init__(self):
-        if self.nu <= 0.0 or self.rho < 0.0:
-            raise ValueError("need nu > 0 and rho >= 0")
-        if self.delta <= 0.0:
-            raise ValueError("band half-width must be positive")
+        if not (0.0 < self.nu < np.inf and 0.0 <= self.rho < np.inf):
+            raise ValueError("need finite nu > 0 and rho >= 0")
+        if not 0.0 < self.delta < np.inf:
+            raise ValueError("band half-width must be positive and finite")
         ic = np.asarray(self.ic, dtype=float)
         if ic.shape != (self.grid.n_s,):
             raise ValueError(f"ic shape {ic.shape} does not match grid ({self.grid.n_s},)")
@@ -231,8 +232,7 @@ def rd_metrics(generated, reference, cs: ConstraintSet) -> RdMetrics:
         raise ValueError(f"generated dimension {gen.shape[1]} != reference {ref.shape[1]}")
     if gen.shape[0] < 2:
         raise ValueError("need at least 2 generated samples for the std error")
-    mmse = float(np.mean((gen.mean(axis=0) - ref.mean(axis=0)) ** 2))
-    smse = float(np.mean((gen.std(axis=0) - ref.std(axis=0)) ** 2))
+    mmse, smse = moment_errors(gen, ref)
     cv_ic, cv_cl = rd_violation_split(gen, cs)
     return RdMetrics(mmse=mmse, smse=smse, cv_ic=cv_ic, cv_cl=cv_cl)
 

@@ -27,8 +27,7 @@ from chanceflow import (BruteForceConfig, ConstraintSet, FlowModel,
                         tighten_set, RdGrid, RdProblem)
 from chanceflow.chance import tighten_band, tighten_linear
 from chanceflow.config import (DIRECTION_STREAM, REFERENCE_STREAM,
-                               build_workbench, make_sampler_config,
-                               parse_config)
+                               build_workbench, parse_config)
 from chanceflow.cli import run_experiment
 from chanceflow.oracles import halfspace_qp_project
 
@@ -268,8 +267,9 @@ def test_c06_shipped_benchmarks_reach_strict_feasibility():
     for name in ("benchmark_2d.cfg", "rd_ccfm.cfg"):
         started = time.perf_counter()
         cfg = parse_config(CONFIG_DIR / name)
-        bench = build_workbench(cfg, cfg.seed)
-        scfg = replace(make_sampler_config(cfg, "ccfm", cfg.seed), samples=100)
+        scfg = replace(cfg.samplers[0], samples=100)
+        assert scfg.algorithm == "ccfm"
+        bench = build_workbench(cfg, scfg.seed)
         records = run_batch(bench.model, bench.cs, scfg)
         violations = [max_violation(bench.cs, r.x1) for r in records]
         feasible = sum(1 for v in violations if v <= 1e-8)

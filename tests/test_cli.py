@@ -7,7 +7,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from chanceflow import ConfigError, LinearBand, SampleRecord
+from chanceflow import (ConfigError, GnConfig, LinearBand, SampleRecord, SamplerConfig,
+                        Scheduler)
 from chanceflow.cli import CSV_HEADER, ResultRow, main, run_experiment
 from chanceflow.config import parse_config
 from chanceflow.figures import emit_figure
@@ -44,6 +45,24 @@ figures = trajectory_2d violation_curve
 figure_samples = 3
 """
 
+# The smallest reaction-diffusion run: a 4 x 2 grid and two training fields.
+RD_SMOKE = """\
+[experiment]
+id = rd_smoke
+samples = 2
+
+[model]
+kind = reaction_diffusion
+n_s = 4
+n_t = 2
+train_fields = 2
+
+[sampler]
+algorithm = ccfm
+mode = pathwise
+steps = 4
+"""
+
 
 def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -66,10 +85,9 @@ def test_parse_fills_defaults(tmp_path):
         algorithm = vanilla
         """))
     assert cfg.experiment_id == "tiny"
-    assert cfg.seed == 0
-    assert cfg.algorithms == ("vanilla",)
-    assert cfg.sampler["n_steps"] == 100
-    assert cfg.sampler["scheduler_n"] == 0.5
+    (scfg,) = cfg.samplers
+    assert scfg == SamplerConfig(algorithm="vanilla", n_steps=100, scheduler=Scheduler(0.5),
+                                 gn=GnConfig(lam=1e-6, max_iters=1), seed=0, samples=100)
     assert cfg.csv_name == "results.csv"
     assert cfg.figures == ()
 
@@ -83,12 +101,28 @@ def test_parse_fills_defaults(tmp_path):
     ("steps = 12", "steps = 0"),
     ("samples = 6", "samples = 0"),
     ("kind = mixture", "kind = parametric"),
+    ("steps = 12", "steps = 12\ngn_damping = 0"),
+    ("steps = 12", "steps = 12\ngn_iters = -1"),
+    ("steps = 12", "steps = 12\nfinal_budget = -1"),
+    ("steps = 12", "steps = 12\neci_events = -1"),
+    ("figure_samples = 3", "figure_samples = 0"),
+    ("n_projections = 16", "n_projections = 0"),
+    ("reference_samples = 32", "reference_samples = 0"),
+    ("samples = 2", "samples = 2\ntol = 1e-8", RD_SMOKE),  # RD uses delta
+    ("seed = 3", "seed = 3\ntol = nan"),
+    ("steps = 12", "steps = 12\nscheduler_n = inf"),
+    ("steps = 12", "steps = 12\ngn_damping = inf"),
+    ("b = 0", "b = nan"),
+    ("id = smoke", "id = runs/smoke"),          # ids and csv names are file names
+    ("csv = smoke.csv", "csv = runs/smoke.csv"),
+    ("algorithm = ccfm vanilla", "algorithm = ccfm vanilla ccfm"),  # would run twice
 ])
 def test_bad_configs_raise(tmp_path, mutation):
-    old, new = mutation
-    assert old in SMOKE
+    old, new, *base = mutation
+    text = base[0] if base else SMOKE
+    assert old in text
     with pytest.raises(ConfigError):
-        parse_config(write_config(tmp_path, SMOKE.replace(old, new)))
+        parse_config(write_config(tmp_path, text.replace(old, new)))
 
 
 def test_constrained_algorithm_requires_a_constraint(tmp_path):
@@ -126,6 +160,23 @@ def test_malformed_config_exits_2_without_output(tmp_path):
     out = tmp_path / "out"
     assert run_experiment(cfg, out_dir=str(out)) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("base, old, new", [
+    (SMOKE, "steps = 12", "steps = 12\ngn_damping = 0"),        # checked by GnConfig
+    (SMOKE, "scales = 0.4", "scales = -1"),                      # by the mixture target
+    (RD_SMOKE, "n_t = 2", "n_t = 2\nnu = 0"),                    # by RdProblem
+    (RD_SMOKE, "n_t = 2", "n_t = 2\nrho = inf"),
+    (RD_SMOKE, "samples = 2", "samples = 2\n[output]\nfigures = trajectory_2d"),
+], ids=["gn_damping", "scales", "nu", "rho", "rd_trajectory_2d"])
+def test_out_of_range_setting_exits_2_without_output(tmp_path, base, old, new):
+    assert old in base
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, base.replace(old, new)),
+                 "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert main(["run", write_config(tmp_path, base, name="ok.cfg"),
+                 "--out-dir", str(out)]) == 0
 
 
 def test_out_of_range_coords_exit_2_without_output(tmp_path):
