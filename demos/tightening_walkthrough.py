@@ -29,7 +29,7 @@ def boundary_table(b: float, schedules) -> None:
     for t in times:
         cells = []
         for sched in schedules:
-            members = tighten_set(cs, t, sched, "marginal").members
+            members = tighten_set(cs, t, sched).members
             cells.append(f" {members[0].b:+8.4f} " if members else " inactive ")
         print(f"  {t:4.2f}  {sigma_of_t(t):8.3f} " + "".join(cells))
     print(f"\nevery column ends at rhs = b = {b} exactly: the margin is "
@@ -41,7 +41,7 @@ def check_boundary_probability(b: float, t: float, n: float, seed: int,
     """Place x_t on the tightened boundary and measure P(a.x1 <= b)."""
     sched = Scheduler(n)
     c = LinearIneq(np.array([1.0, 0.0]), b)
-    (tc,) = tighten_set(ConstraintSet((c,)), t, sched, "marginal").members
+    (tc,) = tighten_set(ConstraintSet((c,)), t, sched).members
     x_t = tc.b * tc.a / float(tc.a @ tc.a)
     est = mc_chance(c, x_t, t, trials, stream_rng(seed, 0))
     print(f"\nn={n}, t={t}: scheduled probability phi(t) = {sched.phi(t):.6f}")
@@ -63,12 +63,11 @@ def quadratic_collapse(t: float, n: float) -> None:
     for scale, label in ((0.5, "below critical"), (1.0, "at critical"), (2.0, "above critical")):
         root = math.sqrt(scale * crit)
         cs = ConstraintSet((LinearBand(a, -root, root),))
-        members = tighten_set(cs, t, sched, "marginal").members
+        members = tighten_set(cs, t, sched).members
         if not members:
             print(f"  b = {scale:.1f}*crit ({label:>14}): inactive this step")
         else:
-            upper = members[1]
-            print(f"  b = {scale:.1f}*crit ({label:>14}): |a.x_t| <= {upper.b:.6f}")
+            print(f"  b = {scale:.1f}*crit ({label:>14}): |a.x_t| <= {members[0].hi:.6f}")
 
 
 def main() -> int:

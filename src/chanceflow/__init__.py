@@ -8,7 +8,7 @@ reaction-diffusion benchmark and a config-driven experiment runner sit on
 top.
 """
 
-from .chance import Scheduler, sigma_of_t, tighten_set
+from .chance import Scheduler, sigma_of_t, tighten_set, transport_set
 from .constraints import (ConstraintSet, LinearBand, LinearIneq, MinDistance,
                           SmoothScalar, max_violation)
 from .errors import (ConfigError, GradientSingularityError, NumericalError,
@@ -30,7 +30,7 @@ from .samplers import SampleRecord, SamplerConfig, run_batch
 __version__ = "0.1.0"
 
 __all__ = [
-    "Scheduler", "sigma_of_t", "tighten_set",
+    "Scheduler", "sigma_of_t", "tighten_set", "transport_set",
     "ConstraintSet", "LinearBand", "LinearIneq", "MinDistance", "SmoothScalar",
     "max_violation",
     "ConfigError", "GradientSingularityError", "NumericalError", "OracleFailure",

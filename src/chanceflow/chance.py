@@ -9,9 +9,11 @@ quantile-dependent margin; the margin carries the noise scale
 sigma(t) = (1-t)/t and vanishes at t = 1, where the original constraint is
 recovered bitwise.
 
-A tightened set is a plain ConstraintSet of the clean kinds: halfspaces in
-marginal mode, the transported members in pathwise mode. Feasibility
-is therefore enforced exactly as for the clean set, by the same projections.
+Both maps go member for member: tighten_set (the marginal reformulation)
+and transport_set (the pathwise image under the realized x0) turn each clean
+member into at most one member of its own kind, in the clean order. A
+tightened set is therefore a plain ConstraintSet that the same projections
+enforce exactly as they enforce the clean set.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "tighten_band",
     "tighten_linear",
     "tighten_set",
+    "transport_set",
 ]
 
 # Satisfaction probabilities closer than this to {0, 1} would need infinite
@@ -74,34 +77,31 @@ def sigma_of_t(t: float) -> float:
     return (1.0 - t) / t
 
 
+def _margin(a: np.ndarray, t: float, satisfy_prob: float) -> float:
+    """Noise margin t*sigma(t)*||a||*z of a face a.x at time t, with z the
+    satisfy_prob normal quantile; exactly zero at t = 1."""
+    return t * sigma_of_t(t) * float(np.linalg.norm(a)) * normal_quantile(satisfy_prob)
+
+
 def tighten_linear(c: LinearIneq, t: float, satisfy_prob: float) -> LinearIneq:
-    """Deterministic surrogate of P(a.x1 <= b) >= satisfy_prob at time t.
-
-    Returns a.x_t <= t*b - t*sigma(t)*||a||*z with z the satisfy_prob normal
-    quantile; at t = 1 the margin term is exactly zero and the bound is b.
-    """
+    """Deterministic surrogate of P(a.x1 <= b) >= satisfy_prob at time t:
+    a.x_t <= t*b - margin; at t = 1 the bound is b."""
     t = float(t)
-    sigma = sigma_of_t(t)
-    z = normal_quantile(satisfy_prob)
-    rhs = t * c.b - t * sigma * float(np.linalg.norm(c.a)) * z
-    return LinearIneq(c.a, rhs)
+    return LinearIneq(c.a, t * c.b - _margin(c.a, t, satisfy_prob))
 
 
-def tighten_band(c: LinearBand, t: float, satisfy_prob: float) -> tuple:
+def tighten_band(c: LinearBand, t: float, satisfy_prob: float) -> LinearBand | None:
     """Deterministic surrogate of P(lo <= a.x1 <= hi) >= satisfy_prob at time t.
 
-    Splits the risk evenly over the two sides (each tightened by tighten_linear
-    at (1 + p)/2) and returns them as two halfspaces, lower side first as in
-    the clean band's face order; that order is Dykstra's member cycle, which
-    fixes its output bits. When the tightened sides cross, no state satisfies
-    both and () is returned: nothing is enforced at this step.
+    The risk is split evenly over the two sides, so each side takes the
+    margin at (1 + p)/2: t*lo + m <= a.x_t <= t*hi - m. When the tightened
+    sides cross, no state satisfies both and None is returned: nothing is
+    enforced at this step.
     """
-    side_prob = (1.0 + float(satisfy_prob)) / 2.0
-    lower = tighten_linear(LinearIneq(-c.a, -c.lo), t, side_prob)
-    upper = tighten_linear(LinearIneq(c.a, c.hi), t, side_prob)
-    if upper.b < -lower.b:
-        return ()
-    return lower, upper
+    t = float(t)
+    m = _margin(c.a, t, (1.0 + float(satisfy_prob)) / 2.0)
+    lo, hi = t * c.lo + m, t * c.hi - m
+    return LinearBand(c.a, lo, hi) if lo <= hi else None
 
 
 class TightenedConstraint(LinearIneq):
@@ -111,42 +111,35 @@ class TightenedConstraint(LinearIneq):
     class."""
 
 
-def tighten_set(cs: ConstraintSet, t: float, scheduler: Scheduler, mode: str,
-                x0: np.ndarray | None = None) -> ConstraintSet:
-    """The per-step enforceable set on x_t, as a ConstraintSet with cs.tol.
+def tighten_set(cs: ConstraintSet, t: float, scheduler: Scheduler) -> ConstraintSet:
+    """The marginal per-step set on x_t, as a ConstraintSet with cs.tol.
 
-    mode 'marginal' applies the probabilistic reformulations with
-    satisfy_prob = clamp(phi(t)); only the MARGINAL_KINDS admit one. A
-    halfspace tightens to a halfspace and a band to its two sides as
-    halfspaces. Faces with nothing enforceable this step are left out: all
-    of them below the probability floor, and a band whose tightened sides
-    cross. mode 'pathwise' returns the exact time-t set (1-t) x0 + t C,
-    member for member, using the realized x0.
+    Applies the probabilistic reformulations with satisfy_prob =
+    clamp(phi(t)); only the MARGINAL_KINDS admit one. Each clean member
+    becomes at most one member of its own type, in the clean order. Members
+    with nothing enforceable this step are left out: all of them below the
+    probability floor, and a band whose tightened sides cross.
     """
+    for c in cs.members:
+        if not isinstance(c, MARGINAL_KINDS):
+            raise ValueError(
+                f"{type(c).__name__} has no marginal chance reformulation; "
+                "use transport_set")
     t = float(t)
-    if mode == "marginal":
-        for c in cs.members:
-            if not isinstance(c, MARGINAL_KINDS):
-                raise ValueError(
-                    f"{type(c).__name__} has no marginal chance reformulation; "
-                    "use pathwise mode")
-        phi = scheduler.phi(t)
-        if phi < PHI_CLAMP:
-            return ConstraintSet((), tol=cs.tol)
-        phi = min(phi, 1.0 - PHI_CLAMP)
-        out = []
-        for c in cs.members:
-            if isinstance(c, LinearIneq):
-                out.append(tighten_linear(c, t, phi))
-            else:
-                out.extend(tighten_band(c, t, phi))
-        return ConstraintSet(tuple(out), tol=cs.tol)
-    if mode == "pathwise":
-        if x0 is None:
-            raise ValueError("pathwise tightening requires the realized x0")
-        x0 = np.asarray(x0, dtype=float)
-        return ConstraintSet(tuple(_transport(c, t, x0) for c in cs.members), tol=cs.tol)
-    raise ValueError(f"unknown tightening mode {mode!r}")
+    phi = scheduler.phi(t)
+    if phi < PHI_CLAMP:
+        return ConstraintSet((), tol=cs.tol)
+    phi = min(phi, 1.0 - PHI_CLAMP)
+    out = (tighten_linear(c, t, phi) if isinstance(c, LinearIneq) else tighten_band(c, t, phi)
+           for c in cs.members)
+    return ConstraintSet(tuple(c for c in out if c is not None), tol=cs.tol)
+
+
+def transport_set(cs: ConstraintSet, t: float, x0: np.ndarray) -> ConstraintSet:
+    """The exact time-t set (1-t) x0 + t C under the realized x0, member for
+    member, as a ConstraintSet with cs.tol."""
+    x0 = np.asarray(x0, dtype=float)
+    return ConstraintSet(tuple(_transport(c, float(t), x0) for c in cs.members), tol=cs.tol)
 
 
 def _transport(c, t: float, x0: np.ndarray):

@@ -13,6 +13,9 @@ Sections and keys::
     [model]       kind = mixture | empirical | reaction_diffusion, + params
     [sampler]     algorithm (one or more), stepper, steps, scheduler_n, mode,
                   gn_iters, gn_damping, final_budget, eci_events
+                  (eci ignores stepper; only ccfm reads mode, only eci
+                  eci_events; gn_* set the per-step Gauss-Newton correction,
+                  not the final refinement: see SamplerConfig)
     [constraint.K] kind = halfspace | band | quadratic | min_distance, + params
                   (quadratic: (a.x)^2 <= b, read as the band |a.x| <= sqrt(b))
     [metrics]     reference (path | rejection | simulation),

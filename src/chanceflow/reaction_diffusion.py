@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .constraints import ConstraintSet, LinearBand, SmoothScalar
+from .constraints import ConstraintSet, LinearBand, SmoothScalar, hinge_max
 from .errors import NumericalError
 from .numerics import stream_rng
 from .oracles import moment_errors
@@ -243,7 +243,7 @@ def rd_violation_split(finals: np.ndarray, cs: ConstraintSet) -> tuple[float, fl
     cv_ic = 0.0
     cv_cl = 0.0
     for member in cs.members:
-        worst = float(member.face_values(finals).max(initial=0.0))
+        worst = hinge_max(member.face_values(finals))
         if isinstance(member, LinearBand):
             cv_ic = max(cv_ic, worst)
         else:

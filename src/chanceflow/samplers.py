@@ -49,11 +49,14 @@ MODES = ("marginal", "pathwise")
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Settings shared by all sampling algorithms.
+    """Settings shared by all sampling algorithms; not every one reads all.
 
-    gn controls the per-step correction (default: a single Gauss-Newton
-    update, the final refinement has its own budget); eci_events is the
-    number of noise-resampling events for the eci algorithm.
+    eci ignores stepper: it extrapolates with one velocity call per step.
+    Only ccfm reads mode (and scheduler, in marginal mode), and only eci
+    reads eci_events, its number of noise-resampling events. gn sets only the
+    per-step Gauss-Newton correction (default: a single update); the final
+    refinement takes final_budget iterations at tolerance cs.tol/16 with the
+    default ridge 1e-6, whatever gn.lam says.
     """
 
     algorithm: str = "ccfm"
@@ -144,7 +147,7 @@ def _marginal_schedule(cs: ConstraintSet, cfg: SamplerConfig) -> tuple:
     """The marginal tightened sets at t_1..t_N. They depend on t alone, so a
     batch computes them once and every sample projects onto the same sets."""
     ts = _time_grid(cfg.n_steps)
-    return tuple(tighten_set(cs, t, cfg.scheduler, "marginal") for t in ts[1:])
+    return tuple(tighten_set(cs, t, cfg.scheduler) for t in ts[1:])
 
 
 def _sample(model: FlowModel, cs: ConstraintSet | None, cfg: SamplerConfig,

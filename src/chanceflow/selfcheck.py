@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .chance import Scheduler, tighten_linear, tighten_set
+from .chance import Scheduler, tighten_linear, tighten_set, transport_set
 from .constraints import (ConstraintSet, LinearBand, LinearIneq, MinDistance,
                           max_violation)
 from .flow import (EmpiricalTarget, FlowModel, GaussianMixtureTarget,
@@ -95,9 +95,8 @@ def tightening_degenerates_at_t1():
     _assert(tc.b == c.b, "t=1 bound differs from the deterministic bound")
     # The quadratic (a.x)^2 <= 2, as the config reads it.
     q = LinearBand(np.array([1.0, 1.0, 0.0]), -math.sqrt(2.0), math.sqrt(2.0))
-    sched = Scheduler(0.5)
-    half, lower, upper = tighten_set(ConstraintSet((c, q)), 1.0, sched, "marginal").members
-    _assert(half.b == c.b and upper.b == math.sqrt(2.0) and lower.b == math.sqrt(2.0),
+    half, band = tighten_set(ConstraintSet((c, q)), 1.0, Scheduler(0.5)).members
+    _assert(half.b == c.b and band.lo == -math.sqrt(2.0) and band.hi == math.sqrt(2.0),
             "marginal set at t=1 is not the original set")
 
 
@@ -123,7 +122,7 @@ def pathwise_projection_commutes():
         x0, x = rng.standard_normal(2), rng.standard_normal(2)
         t = float(rng.uniform(0.1, 0.99))
         via_clean = project_decomposed(x, x0, t, cs, GnConfig())
-        shifted = tighten_set(cs, t, Scheduler(1.0), "pathwise", x0)
+        shifted = transport_set(cs, t, x0)
         direct = shifted.members[0].project(x)
         _assert(np.allclose(via_clean, direct, atol=1e-9),
                 "decomposed projection disagrees with direct projection")

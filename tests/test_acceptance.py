@@ -94,12 +94,12 @@ def test_c02_two_sided_tightening_conservative_everywhere_tight_at_center():
         z = normal_quantile((1.0 + prob) / 2.0)
         crit = (sigma * float(np.linalg.norm(a)) * z) ** 2
         c = quadratic(a, crit * float(rng.uniform(1.2, 2.5)))
-        lower, upper = tighten_band(c, t, prob)
-        assert lower.b == upper.b  # a symmetric band
+        band = tighten_band(c, t, prob)
+        assert -band.lo == band.hi  # a symmetric band
         ortho = rng.standard_normal(d)
         ortho -= (float(ortho @ a) / float(a @ a)) * a
         for k, lam in enumerate((-1.0, -0.5, 0.0, 0.5, 1.0)):
-            x_t = lam * upper.b * a / float(a @ a) + 0.3 * ortho
+            x_t = lam * band.hi * a / float(a @ a) + 0.3 * ortho
             est = mc_chance(c, x_t, t, N_MC, stream_rng(104, 10 * i + k))
             floor_margin = min(floor_margin, (est.p_hat - prob) / est.stderr)
             assert est.p_hat >= prob - 3.0 * est.stderr
@@ -113,7 +113,7 @@ def test_c02_two_sided_tightening_conservative_everywhere_tight_at_center():
         z = normal_quantile((1.0 + prob) / 2.0)
         c = quadratic(a, (sigma * float(np.linalg.norm(a)) * z) ** 2)
         tc = tighten_band(c, t, prob)
-        assert tc == () or abs(tc[1].b) <= 1e-12  # collapsed band
+        assert tc is None or abs(tc.hi) <= 1e-12  # collapsed band
         est = mc_chance(c, np.zeros(d), t, N_MC, stream_rng(105, i))
         center_worst = max(center_worst, abs(est.p_hat - prob) / est.stderr)
         assert abs(est.p_hat - prob) <= 3.0 * est.stderr
@@ -130,17 +130,14 @@ def test_c03_tightening_degenerates_to_the_original_at_t1():
         a = random_direction(rng, d)
         sched = Scheduler(float(rng.uniform(0.25, 6.0)))
         b = float(rng.uniform(-2.0, 2.0))
-        (lin,) = tighten_set(ConstraintSet((LinearIneq(a, b),)), 1.0, sched,
-                             "marginal").members
+        (lin,) = tighten_set(ConstraintSet((LinearIneq(a, b),)), 1.0, sched).members
         assert lin.b == b  # bitwise
         lo, hi = sorted(rng.uniform(-2.0, 2.0, size=2))
-        lower, upper = tighten_set(ConstraintSet((LinearBand(a, lo, hi),)),
-                                   1.0, sched, "marginal").members
-        assert upper.b == hi and lower.b == -lo
+        (band,) = tighten_set(ConstraintSet((LinearBand(a, lo, hi),)), 1.0, sched).members
+        assert band.hi == hi and band.lo == lo
         qb = float(rng.uniform(0.1, 4.0))
-        lower, upper = tighten_set(ConstraintSet((quadratic(a, qb),)), 1.0, sched,
-                                   "marginal").members
-        assert upper.b == math.sqrt(qb) and lower.b == math.sqrt(qb)
+        (band,) = tighten_set(ConstraintSet((quadratic(a, qb),)), 1.0, sched).members
+        assert band.hi == math.sqrt(qb) and band.lo == -math.sqrt(qb)
 
     # The sampler's final correction (projection onto the t=1 tightened set)
     # must coincide with the plain Euclidean projection onto the clean set.
@@ -167,7 +164,7 @@ def test_c03_tightening_degenerates_to_the_original_at_t1():
                        LinearIneq(random_direction(rng, d), float(rng.uniform(-1, 1))))
             plain = project_pocs(x, ConstraintSet(members, tol=1e-12)).x_out
         cs = ConstraintSet(members, tol=1e-12)
-        final = project(x, tighten_set(cs, 1.0, sched, "marginal"))
+        final = project(x, tighten_set(cs, 1.0, sched))
         worst = max(worst, float(np.linalg.norm(final - plain)))
         assert np.linalg.norm(final - plain) <= 1e-12
     print(f"criterion 3 PASS: t=1 rhs bitwise-equal on 300 instances; final-step "

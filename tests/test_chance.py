@@ -13,7 +13,8 @@ import pytest
 
 from chanceflow import (ConstraintSet, LinearBand, LinearIneq, Scheduler,
                         SmoothScalar, interpolate, mc_chance, normal_quantile,
-                        project, recover_x1, sigma_of_t, tighten_set)
+                        project, project_pocs, recover_x1, sigma_of_t, tighten_set,
+                        transport_set)
 from chanceflow.chance import PHI_CLAMP, tighten_band, tighten_linear
 from chanceflow.constraints import MinDistance, max_violation
 from chanceflow.numerics import stream_rng
@@ -127,36 +128,36 @@ def test_linear_monotone_approach_to_clean_bound():
 
 def test_quadratic_degenerates_at_t1():
     c = quadratic(np.array([1.0]), 4.0)
-    lower, upper = tighten_band(c, 1.0, 0.95)
-    assert isinstance(lower, LinearIneq) and isinstance(upper, LinearIneq)
-    assert np.array_equal(lower.a, -c.a) and np.array_equal(upper.a, c.a)
-    assert lower.b == 2.0 and upper.b == 2.0
+    band = tighten_band(c, 1.0, 0.95)
+    assert isinstance(band, LinearBand)
+    assert np.array_equal(band.a, c.a)
+    assert band.lo == -2.0 and band.hi == 2.0
 
 
 def test_quadratic_worked_example():
     c = quadratic(np.array([1.0]), 9.0)
-    lower, upper = tighten_band(c, 2.0 / 3.0, 0.95)
+    band = tighten_band(c, 2.0 / 3.0, 0.95)
     want = (2.0 / 3.0) * (3.0 - 0.5 * normal_quantile(0.975))
-    assert upper.b == pytest.approx(want, abs=1e-15)
-    assert upper.b == pytest.approx(1.346679, abs=1e-6)
-    assert lower.b == upper.b
+    assert band.hi == pytest.approx(want, abs=1e-15)
+    assert band.hi == pytest.approx(1.346679, abs=1e-6)
+    assert -band.lo == band.hi
 
 
 def test_quadratic_infeasible_margin_goes_inactive():
     c = quadratic(np.array([1.0]), 0.01)
-    assert tighten_band(c, 0.1, 0.95) == ()
-    # In a set the crossing sides are left out: nothing is enforced this step.
+    assert tighten_band(c, 0.1, 0.95) is None
+    # In a set the crossing band is left out: nothing is enforced this step.
     sched = Scheduler(0.01)
     assert sched.phi(0.1) > 0.95
-    assert tighten_set(ConstraintSet((c,)), 0.1, sched, "marginal").members == ()
+    assert tighten_set(ConstraintSet((c,)), 0.1, sched).members == ()
 
 
 def test_quadratic_boundary_is_conservative():
     a = np.array([1.0])
     c = quadratic(a, 9.0)
     t, prob = 2.0 / 3.0, 0.95
-    _, upper = tighten_band(c, t, prob)
-    x_t = np.array([upper.b])  # on the upper edge of the band
+    band = tighten_band(c, t, prob)
+    x_t = np.array([band.hi])  # on the upper edge of the band
     est = mc_chance(c, x_t, t, N_MC, stream_rng(31, 1))
     assert est.p_hat >= prob - 3.0 * est.stderr
 
@@ -169,8 +170,8 @@ def test_quadratic_bound_tight_at_zero_mean():
     z = normal_quantile((1.0 + prob) / 2.0)
     c = quadratic(np.array([1.0]), (sigma * z) ** 2)
     out = tighten_band(c, t, prob)
-    assert len(out) == 2  # the sides meet but do not cross
-    assert abs(out[1].b) <= 1e-12 and abs(out[0].b) <= 1e-12
+    assert out is not None  # the sides meet but do not cross
+    assert abs(out.hi) <= 1e-12 and abs(out.lo) <= 1e-12
     est = mc_chance(c, np.array([0.0]), t, N_MC, stream_rng(31, 2))
     assert abs(est.p_hat - prob) <= 3.0 * est.stderr
 
@@ -179,7 +180,7 @@ def test_quadratic_bound_tight_at_zero_mean():
 
 
 def test_marginal_empty_set_gives_empty_list():
-    out = tighten_set(ConstraintSet((), tol=1e-6), 0.5, Scheduler(1.0), "marginal")
+    out = tighten_set(ConstraintSet((), tol=1e-6), 0.5, Scheduler(1.0))
     assert isinstance(out, ConstraintSet)
     assert out.members == ()
     assert out.tol == 1e-6
@@ -190,10 +191,10 @@ def test_marginal_set_holds_only_halfspaces_and_bands_with_the_clean_tol():
                         LinearBand(np.array([0.0, 1.0]), -2.0, 2.0),
                         quadratic(np.array([1.0, 1.0]), 4.0)), tol=1e-7)
     for t in (0.3, 0.7, 1.0):
-        out = tighten_set(cs, t, Scheduler(0.5), "marginal")
+        out = tighten_set(cs, t, Scheduler(0.5))
         assert isinstance(out, ConstraintSet)
         assert out.tol == cs.tol
-        assert [type(c) for c in out.members] == [LinearIneq] * 5
+        assert [type(c) for c in out.members] == [LinearIneq, LinearBand, LinearBand]
         assert out.all_closed_form
 
 
@@ -201,14 +202,103 @@ def test_marginal_band_splits_risk_equally():
     band = LinearBand(np.array([1.0, 2.0]), -0.4, 0.9)
     sched = Scheduler(0.8)
     t = 0.7
-    out = tighten_set(ConstraintSet((band,)), t, sched, "marginal").members
-    assert len(out) == 2
+    (out,) = tighten_set(ConstraintSet((band,)), t, sched).members
     side = (1.0 + sched.phi(t)) / 2.0
     lower = tighten_linear(LinearIneq(-band.a, -band.lo), t, side)
     upper = tighten_linear(LinearIneq(band.a, band.hi), t, side)
-    # Two halfspaces, lower side first, as the clean band orders its faces.
-    assert np.array_equal(out[0].a, -band.a) and out[0].b == lower.b
-    assert np.array_equal(out[1].a, band.a) and out[1].b == upper.b
+    # One band whose sides are the two halfspaces tightened at (1 + p)/2.
+    assert isinstance(out, LinearBand) and np.array_equal(out.a, band.a)
+    assert out.lo == -lower.b and out.hi == upper.b
+
+
+def _two_sides(band, t, prob):
+    """The band's sides as halfspaces tightened at (1 + p)/2, lower first:
+    the reference a tightened band reproduces bit for bit."""
+    side = (1.0 + prob) / 2.0
+    return (tighten_linear(LinearIneq(-band.a, -band.lo), t, side),
+            tighten_linear(LinearIneq(band.a, band.hi), t, side))
+
+
+def _random_band(rng, d):
+    mid, half = rng.uniform(-1.0, 1.0), rng.exponential(0.5)
+    return LinearBand(rng.standard_normal(d), mid - half, mid + half)
+
+
+def test_tighten_set_keeps_member_types_and_order():
+    # Each clean member maps to at most one member of its own type, in the
+    # clean order; only bands whose tightened sides cross are dropped.
+    rng = stream_rng(31, 5)
+    dropped = full_at_t1 = 0
+    for _ in range(300):
+        d = int(rng.integers(1, 5))
+        members = tuple(LinearIneq(rng.standard_normal(d), rng.uniform(-1.0, 1.0))
+                        if rng.random() < 0.5 else _random_band(rng, d)
+                        for _ in range(int(rng.integers(1, 6))))
+        t = 1.0 if rng.random() < 0.2 else float(rng.uniform(0.05, 1.0))
+        sched = Scheduler(float(rng.choice([0.01, 0.5, 2.0])))
+        out = tighten_set(ConstraintSet(members), t, sched).members
+        prob = min(sched.phi(t), 1.0 - PHI_CLAMP)
+        want = []
+        for c in members:
+            if isinstance(c, LinearBand):
+                lower, upper = _two_sides(c, t, prob)
+                if upper.b < -lower.b:
+                    continue
+            want.append(c)
+        assert [type(c) for c in out] == [type(c) for c in want]
+        assert all(np.array_equal(o.a, c.a) for o, c in zip(out, want))
+        dropped += len(members) - len(out)
+        if t == 1.0:
+            assert len(out) == len(members)
+            full_at_t1 += 1
+    assert dropped > 0 and full_at_t1 > 0
+
+
+def test_tighten_band_matches_its_two_tightened_sides():
+    # Bounds and faces are bitwise those of the two halfspace sides, and the
+    # band is dropped exactly when the sides cross.
+    rng = stream_rng(31, 6)
+    crossed = 0
+    for _ in range(2000):
+        d = int(rng.integers(1, 6))
+        band = _random_band(rng, d)
+        t = float(rng.uniform(0.05, 1.0))
+        prob = float(rng.uniform(0.01, 0.999))
+        lower, upper = _two_sides(band, t, prob)
+        out = tighten_band(band, t, prob)
+        if upper.b < -lower.b:
+            assert out is None
+            crossed += 1
+            continue
+        assert out.lo == -lower.b and out.hi == upper.b
+        x = 3.0 * rng.standard_normal((4, d))
+        ref = np.concatenate([lower.face_values(x), upper.face_values(x)], axis=1)
+        assert np.array_equal(out.face_values(x), ref)
+        assert np.array_equal(out.face_values(x[0]), ref[0])
+    assert 0 < crossed < 2000
+
+
+def test_lone_tightened_band_projects_by_its_clip():
+    # A set holding one tightened band takes the band's exact clip, which
+    # lands where Dykstra's cycle over its two sides does.
+    rng = stream_rng(31, 7)
+    checked = 0
+    for _ in range(500):
+        d = int(rng.integers(1, 6))
+        band = _random_band(rng, d)
+        t = float(rng.uniform(0.05, 1.0))
+        prob = float(rng.uniform(0.01, 0.999))
+        out = tighten_band(band, t, prob)
+        if out is None:
+            continue
+        x = 2.0 * rng.standard_normal(d)
+        got = project(x, ConstraintSet((out,)))
+        assert np.array_equal(got, out.project(x))
+        report = project_pocs(x, ConstraintSet(_two_sides(band, t, prob), tol=1e-12))
+        assert report.converged
+        assert np.max(np.abs(got - report.x_out)) <= 1e-14
+        checked += 1
+    assert checked > 100
 
 
 def test_marginal_goes_inactive_below_probability_floor():
@@ -219,7 +309,7 @@ def test_marginal_goes_inactive_below_probability_floor():
     assert sched.phi(t) < PHI_CLAMP
     cs = ConstraintSet((LinearIneq(np.array([1.0]), 0.0),
                         LinearBand(np.array([1.0]), -1.0, 1.0)))
-    out = tighten_set(cs, t, sched, "marginal")
+    out = tighten_set(cs, t, sched)
     assert out.members == ()
     assert out.tol == cs.tol
 
@@ -227,22 +317,16 @@ def test_marginal_goes_inactive_below_probability_floor():
 def test_marginal_rejects_unsupported_kinds():
     cs = ConstraintSet((MinDistance(np.zeros(2), 1.0),))
     with pytest.raises(ValueError):
-        tighten_set(cs, 0.5, Scheduler(1.0), "marginal")
+        tighten_set(cs, 0.5, Scheduler(1.0))
 
 
 def test_pathwise_halfspace_worked_example():
     cs = ConstraintSet((LinearIneq(np.array([1.0]), 0.0),))
-    out = tighten_set(cs, 0.5, Scheduler(1.0), "pathwise", x0=np.array([2.0]))
+    out = transport_set(cs, 0.5, np.array([2.0]))
     assert isinstance(out, ConstraintSet)
     (member,) = out.members
     assert member.a[0] == 1.0
     assert member.b == pytest.approx(1.0, abs=1e-15)
-
-
-def test_pathwise_requires_x0():
-    cs = ConstraintSet((LinearIneq(np.array([1.0]), 0.0),))
-    with pytest.raises(ValueError):
-        tighten_set(cs, 0.5, Scheduler(1.0), "pathwise")
 
 
 def test_pathwise_feasibility_matches_clean_feasibility():
@@ -254,12 +338,11 @@ def test_pathwise_feasibility_matches_clean_feasibility():
         quadratic(np.array([0.3, 1.0]), 1.5),
         MinDistance(np.array([1.0, 0.0]), 0.8),
     ))
-    sched = Scheduler(1.0)
     for _ in range(50):
         x0 = rng.standard_normal(2)
         x1 = 2.0 * rng.standard_normal(2)
         for t in (0.2, 0.6, 0.95):
-            moved = tighten_set(cs, t, sched, "pathwise", x0=x0)
+            moved = transport_set(cs, t, x0)
             x_t = interpolate(x0, x1, t)
             clean_ok = np.all(cs.face_values(x1) <= 1e-12)
             path_ok = np.all(moved.face_values(x_t) <= 1e-9)
@@ -285,7 +368,7 @@ def test_pathwise_smooth_scalar_transport_gradient():
     cs = ConstraintSet((base,))
     x0 = np.array([0.5, -1.0])
     t = 0.4
-    moved = tighten_set(cs, t, Scheduler(1.0), "pathwise", x0=x0)
+    moved = transport_set(cs, t, x0)
     (member,) = moved.members
     x = np.array([0.3, 0.2])
     # value: g((x - (1-t) x0)/t); gradient: grad(g)(M_t(x)) / t  (chain rule)
@@ -300,7 +383,7 @@ def test_pathwise_multi_face_smooth_scalar_transport_gradient():
     cs = ConstraintSet((base,))
     x0 = np.array([0.5, -1.0])
     t = 0.4
-    moved = tighten_set(cs, t, Scheduler(1.0), "pathwise", x0=x0)
+    moved = transport_set(cs, t, x0)
     (member,) = moved.members
     assert member.n_faces == 2
     x = np.array([0.3, 0.2])
@@ -312,11 +395,6 @@ def test_pathwise_multi_face_smooth_scalar_transport_gradient():
                        rtol=0.0, atol=1e-12)
     assert np.allclose(member.jacobian(x)[1], [y[1] / t, y[0] / t],
                        rtol=0.0, atol=1e-12)
-
-
-def test_tighten_set_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        tighten_set(ConstraintSet(()), 0.5, Scheduler(1.0), "exact")
 
 
 # --- tightened-constraint mechanics ---------------------------------------------------
@@ -331,7 +409,7 @@ def test_tightened_linear_projection():
 
 
 def test_tightened_band_projection_clamps_both_sides():
-    tc = ConstraintSet(tighten_band(quadratic(np.array([1.0]), 0.25), 1.0, 0.9))
+    tc = ConstraintSet((tighten_band(quadratic(np.array([1.0]), 0.25), 1.0, 0.9),))
     assert project(np.array([2.0]), tc)[0] == pytest.approx(0.5)
     assert project(np.array([-2.0]), tc)[0] == pytest.approx(-0.5)
     assert np.array_equal(project(np.array([0.2]), tc), [0.2])
@@ -347,7 +425,7 @@ def test_tightened_constraint_validation():
 
 def test_crossing_band_sides_marked_inactive():
     # A narrow band with an aggressive probability can tighten past itself;
-    # both sides are then left out rather than forming an empty slab.
+    # the band is then left out rather than forming an empty slab.
     band = LinearBand(np.array([1.0]), -1e-4, 1e-4)
-    out = tighten_set(ConstraintSet((band,)), 0.5, Scheduler(0.01), "marginal")
+    out = tighten_set(ConstraintSet((band,)), 0.5, Scheduler(0.01))
     assert out.members == ()

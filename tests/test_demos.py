@@ -1,9 +1,5 @@
-"""Smoke test: the quick demos run to completion against the package, and
-the lines that show a result print as they should.
-
-benchmark_2d_comparison.py and scheduler_early_freedom.py take tens of
-seconds each and are left to manual runs.
-"""
+"""Smoke test: every demo runs to completion against the package, and the
+lines that show a result print as they should."""
 
 import os
 import subprocess
@@ -15,7 +11,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 # Lines each demo must print verbatim: the tightened half-width of the band
-# |a.x| <= sqrt(b) below, at and above the radius where it collapses.
+# |a.x| <= sqrt(b) below, at and above the radius where it collapses; the
+# ccfm and repeated rows of the head-to-head table; the default and the
+# slowest schedule of the movement table.
 PINNED = {
     "tightening_walkthrough.py": [
         "quadratic (a.x1)^2 <= b at t=0.6, n=0.5: critical b = 0.251084",
@@ -24,11 +22,18 @@ PINNED = {
         "  b = 2.0*crit (above critical): |a.x_t| <= 0.124533",
     ],
     "reaction_diffusion_recovery.py": [],
+    "benchmark_2d_comparison.py": [
+        "repeated     100.0%      0.3320      0.9674",
+        "ccfm         100.0%      0.1950      0.3490",
+    ],
+    "scheduler_early_freedom.py": [
+        "  0.50   step   0       56 of 100      |*+*#%@#=.           |     0.1950",
+        "  4.00   step  30       30 of 100      |        .:+#@*. ....|     0.4658",
+    ],
 }
 
 
-@pytest.mark.parametrize("demo", ["tightening_walkthrough.py",
-                                  "reaction_diffusion_recovery.py"])
+@pytest.mark.parametrize("demo", sorted(PINNED))
 def test_demo_runs(demo):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")

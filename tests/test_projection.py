@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from chanceflow import (ConstraintSet, GnConfig, LinearBand, LinearIneq,
-                        MinDistance, Scheduler, SmoothScalar,
+                        MinDistance, SmoothScalar,
                         final_refine, gauss_newton_project, interpolate,
                         max_violation, project, project_decomposed,
-                        project_pocs, recover_x1, tighten_set)
+                        project_pocs, recover_x1, transport_set)
 from chanceflow.chance import tighten_linear
 from chanceflow.oracles import halfspace_qp_project
 from chanceflow.numerics import stream_rng
@@ -321,7 +321,6 @@ def test_decomposed_rejects_t0():
 
 def test_decomposed_equals_projection_onto_transported_halfspace():
     rng = stream_rng(41, 2)
-    sched = Scheduler(1.0)
     for _ in range(100):
         a = rng.standard_normal(3)
         if np.linalg.norm(a) < 1e-3:
@@ -332,7 +331,7 @@ def test_decomposed_equals_projection_onto_transported_halfspace():
         x = 2.0 * rng.standard_normal(3)
         t = rng.uniform(0.05, 1.0)
         got = project_decomposed(x, x0, t, cs)
-        moved = tighten_set(cs, t, sched, "pathwise", x0=x0)
+        moved = transport_set(cs, t, x0)
         want = moved.members[0].project(x)
         assert np.linalg.norm(got - want) <= 1e-10
 
@@ -392,7 +391,6 @@ def test_refined_endpoint_stays_feasible_along_the_path():
     cs = ConstraintSet((LinearIneq(np.array([1.0, 0.4]), -0.2),
                         LinearBand(np.array([0.2, -1.0]), -0.9, 0.9)))
     rng = stream_rng(41, 5)
-    sched = Scheduler(1.0)
     for _ in range(20):
         x0 = rng.standard_normal(2)
         raw = 2.0 * rng.standard_normal(2)
@@ -400,5 +398,5 @@ def test_refined_endpoint_stays_feasible_along_the_path():
         assert max_violation(cs, x1) <= cs.tol
         for t in np.linspace(0.1, 1.0, 10):
             x_t = interpolate(x0, x1, t)
-            moved = tighten_set(cs, t, sched, "pathwise", x0=x0)
+            moved = transport_set(cs, t, x0)
             assert max_violation(moved, x_t) <= 1e-12
