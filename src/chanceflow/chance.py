@@ -124,7 +124,7 @@ def tighten_set(cs: ConstraintSet, t: float, scheduler: Scheduler) -> Constraint
         if not isinstance(c, MARGINAL_KINDS):
             raise ValueError(
                 f"{type(c).__name__} has no marginal chance reformulation; "
-                "use transport_set")
+                "set [sampler] mode = pathwise")
     t = float(t)
     phi = scheduler.phi(t)
     if phi < PHI_CLAMP:

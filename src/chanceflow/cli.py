@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (DIRECTION_STREAM, ExperimentConfig, Workbench,
-                     build_workbench, parse_config)
+from .config import DIRECTION_STREAM, ExperimentConfig, build_workbench, parse_config
 # max_violation and sliced_w2 are reached through feasibility_report; they
 # stay importable here because perfbench/spans.py hooks them at this site.
 from .constraints import max_violation  # noqa: F401
@@ -75,16 +74,15 @@ def _format_cell(value) -> str:
     return format(float(value), ".9g")
 
 
-def _result_row(cfg: ExperimentConfig, bench: Workbench, scfg: SamplerConfig,
-                records) -> ResultRow:
+def _result_row(cfg: ExperimentConfig, scfg: SamplerConfig, records) -> ResultRow:
     finals = np.stack([r.x1 for r in records])
-    report = feasibility_report(records, bench.cs, bench.reference,
+    report = feasibility_report(records, cfg.cs, cfg.reference,
                                 n_projections=cfg.n_projections,
                                 rng=stream_rng(scfg.seed, DIRECTION_STREAM))
-    mmse, smse = moment_errors(finals, bench.reference)
+    mmse, smse = moment_errors(finals, cfg.reference)
     cv_ic = cv_cl = None
-    if bench.is_rd:
-        cv_ic, cv_cl = rd_violation_split(finals, bench.cs)
+    if cfg.is_rd:
+        cv_ic, cv_cl = rd_violation_split(finals, cfg.cs)
     return ResultRow(
         experiment=cfg.experiment_id,
         algorithm=scfg.algorithm,
@@ -118,23 +116,23 @@ def run_experiment(cfg_path, seed: int | None = None, out_dir: str = ".",
         return 2
     seed = cfg.samplers[0].seed if seed is None else int(seed)
     try:
-        bench = build_workbench(cfg, seed)
+        cfg = build_workbench(cfg, seed)
         infeasible = 0
         rows = []
         batches = {}
         for scfg in cfg.samplers:
             scfg = replace(scfg, seed=seed)
-            records = run_batch(bench.model, bench.cs, scfg, threads=threads)
+            records = run_batch(cfg.model, cfg.cs, scfg, threads=threads)
             batches[scfg.algorithm] = records
             log.info("%s: %d samples, total sampling time %.3fs", scfg.algorithm,
                      len(records), sum(r.wall_time for r in records))
             if scfg.algorithm != "vanilla":
                 for i, r in enumerate(records):
-                    if not r.refine_converged or r.final_violation > bench.cs.tol:
+                    if not r.refine_converged or r.final_violation > cfg.cs.tol:
                         log.error("%s sample %d infeasible after final refinement "
                                   "(max violation %.3e)", scfg.algorithm, i, r.final_violation)
                         infeasible += 1
-            rows.append(_result_row(cfg, bench, scfg, records))
+            rows.append(_result_row(cfg, scfg, records))
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(rows, os.path.join(out_dir, cfg.csv_name))
         for kind in cfg.figures:

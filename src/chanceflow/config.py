@@ -1,11 +1,13 @@
 """Experiment configuration: flat INI-style files.
 
 A config names a target model, an optional list of constraint blocks, the
-sampler settings, metric settings, and output names. Everything is validated
-up front so a bad file fails before any sampling or file output starts:
-each setting is checked by the object it configures (constraints and
-samplers in parse_config, the model in build_workbench), whose ValueError
-becomes a ConfigError. tol applies to mixture and empirical models only.
+sampler settings, metric settings, and output names. parse_config builds
+every object that does not depend on the run seed (the samplers, the model,
+the constraint set and any loaded or simulated reference batch), so a bad
+file fails before any sampling or file output starts: each setting is
+checked by the object it configures, whose ValueError becomes a ConfigError.
+build_workbench only draws the rejection reference from the seed's stream.
+tol applies to mixture and empirical models only.
 
 Sections and keys::
 
@@ -42,7 +44,7 @@ from .projection import GnConfig
 from .reaction_diffusion import RdGrid, rd_constraints, rd_dataset
 from .samplers import SamplerConfig
 
-__all__ = ["ExperimentConfig", "Workbench", "parse_config", "build_workbench"]
+__all__ = ["ExperimentConfig", "parse_config", "build_workbench"]
 
 # Dedicated RNG stream ids, far above any sample index.
 REFERENCE_STREAM = 2**48 + 1
@@ -82,31 +84,21 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A parsed config; samplers holds one SamplerConfig per listed algorithm."""
+    """A parsed config with its model and constraint set built; samplers
+    holds one SamplerConfig per listed algorithm. reference is the loaded or
+    simulated batch, or None until build_workbench draws it by rejection."""
 
     experiment_id: str
-    tol: float
-    model_kind: str
-    model_params: dict
-    constraints: tuple
+    model: FlowModel
+    cs: ConstraintSet
+    is_rd: bool
     samplers: tuple
-    reference: str
+    reference: np.ndarray | None
     reference_samples: int
     n_projections: int
     csv_name: str
     figures: tuple
     figure_samples: int
-    base_dir: str
-
-
-@dataclass(frozen=True)
-class Workbench:
-    """Everything a run needs, built from a config."""
-
-    model: FlowModel
-    cs: ConstraintSet
-    reference: np.ndarray
-    is_rd: bool
 
 
 class _Section:
@@ -172,29 +164,38 @@ def _build_constraint(section: _Section):
     raise ConfigError(f"unknown constraint kind {kind!r} in [{section.name}]")
 
 
-def _model_params(section: _Section, kind: str) -> dict:
+def _load(path: str, base_dir: str, what: str) -> np.ndarray:
+    try:
+        return load_matrix(os.path.join(base_dir, path))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load {what}: {exc}") from exc
+
+
+def _model(section: _Section, kind: str, base_dir: str):
+    """The target, with reaction_diffusion's own constraint set and held-out
+    reference field (None for the other kinds)."""
     if kind == "mixture":
         means = _parse_matrix(section.get("means", required=True))
         scales = _parse_vector(section.get("scales", required=True))
-        weights_raw = section.get("weights")
-        return {
-            "means": means,
-            "scales": scales if scales.size > 1 else float(scales[0]),
-            "weights": _parse_vector(weights_raw) if weights_raw else None,
-        }
+        weights = section.get("weights")
+        return GaussianMixtureTarget(means, scales if scales.size > 1 else float(scales[0]),
+                                     _parse_vector(weights) if weights else None), None, None
     if kind == "empirical":
-        return {"path": section.get("path", required=True)}
+        return EmpiricalTarget(_load(section.get("path", required=True), base_dir,
+                                     "atoms")), None, None
     if kind == "reaction_diffusion":
-        return {
-            "n_s": section.get_typed("n_s", int, default=32),
-            "n_t": section.get_typed("n_t", int, default=20),
-            "dt_phys": section.get_typed("dt_phys", float, default=0.25),
-            "nu": section.get_typed("nu", float, default=0.005),
-            "rho": section.get_typed("rho", float, default=0.01),
-            "delta": section.get_typed("delta", float, default=1e-10),
-            "train_fields": section.get_count("train_fields", 12),
-            "data_seed": section.get_typed("data_seed", int, default=0),
-        }
+        grid = RdGrid(n_s=section.get_typed("n_s", int, default=32),
+                      n_t=section.get_typed("n_t", int, default=20),
+                      dt_phys=section.get_typed("dt_phys", float, default=0.25))
+        fields, problems = rd_dataset(
+            grid, section.get_count("train_fields", 12) + 1,
+            section.get_typed("data_seed", int, default=0),
+            nu=section.get_typed("nu", float, default=0.005),
+            rho=section.get_typed("rho", float, default=0.01),
+            delta=section.get_typed("delta", float, default=1e-10))
+        # Problem 0 is held out: its constraints define the task and its
+        # solution is the reference; the target only sees the other fields.
+        return EmpiricalTarget(fields[1:]), rd_constraints(problems[0]), fields[:1]
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -251,42 +252,58 @@ def parse_config(path) -> ExperimentConfig:
 
     kind = sections["model"].get("kind", required=True)
     is_rd = kind == "reaction_diffusion"
-    try:
-        constraints = tuple(_build_constraint(s) for s in constraint_sections)
-        samplers = _sampler_configs(sections["sampler"], exp)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if is_rd and (constraints or exp.get("tol") is not None):
+    if is_rd and (constraint_sections or exp.get("tol") is not None):
         raise ConfigError("reaction_diffusion builds its own constraints with tolerance "
                           "delta; remove [experiment] tol and the [constraint.*] blocks")
-    for scfg in samplers:
-        if scfg.algorithm == "ccfm" and scfg.mode == "marginal" and (
-                is_rd or not all(isinstance(c, MARGINAL_KINDS) for c in constraints)):
-            raise ConfigError("marginal ccfm tightens only halfspace, band and quadratic "
-                              "constraints; set [sampler] mode = pathwise")
-        if scfg.algorithm != "vanilla" and not is_rd and not constraints:
-            raise ConfigError(f"algorithm {scfg.algorithm!r} needs at least one "
-                              "[constraint.*] block")
-    tol = exp.get_typed("tol", float, default=1e-8)
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"tol must be positive and finite, got {tol}")
-
-    reference = metrics.get("reference", default="simulation" if is_rd else "rejection")
-    if is_rd and reference != "simulation":
+    ref_name = metrics.get("reference", default="simulation" if is_rd else "rejection")
+    if is_rd and ref_name != "simulation":
         raise ConfigError("reaction_diffusion supports only reference = simulation")
-    if reference == "simulation" and not is_rd:
+    if ref_name == "simulation" and not is_rd:
         raise ConfigError("reference = simulation requires a reaction_diffusion model")
     figures = tuple(output.get("figures", default="").split())
     for fig in figures:
         if fig not in _FIGURE_KINDS:
             raise ConfigError(f"unknown figure kind {fig!r}")
 
+    base_dir = os.path.dirname(os.path.abspath(path))
+    try:
+        samplers = _sampler_configs(sections["sampler"], exp)
+        target, cs, reference = _model(sections["model"], kind, base_dir)
+        if cs is None:
+            cs = ConstraintSet(tuple(_build_constraint(s) for s in constraint_sections),
+                               tol=exp.get_typed("tol", float, default=1e-8))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    model = FlowModel(target)
+    if cs.dim is not None and cs.dim != model.dim:
+        raise ConfigError(f"constraint dimension {cs.dim} != model dimension {model.dim}")
+    for member in cs.members:
+        subset = getattr(member, "coord_subset", None)
+        if subset is not None and max(subset) >= model.dim:
+            coords = " ".join(map(str, subset))
+            raise ConfigError(f"min_distance coords {coords} reach past "
+                              f"model dimension {model.dim}")
+    if "trajectory_2d" in figures and model.dim != 2:
+        raise ConfigError(f"trajectory_2d figures need a 2-D model, got dimension {model.dim}")
+    for scfg in samplers:
+        if scfg.algorithm == "ccfm" and scfg.mode == "marginal" and not all(
+                isinstance(c, MARGINAL_KINDS) for c in cs.members):
+            raise ConfigError("marginal ccfm tightens only halfspace, band and quadratic "
+                              "constraints; set [sampler] mode = pathwise")
+        if scfg.algorithm != "vanilla" and not cs.members:
+            raise ConfigError(f"algorithm {scfg.algorithm!r} needs at least one "
+                              "[constraint.*] block")
+    if ref_name not in ("rejection", "simulation"):
+        reference = _load(ref_name, base_dir, "reference batch")
+        if reference.shape[1] != model.dim:
+            raise ConfigError(
+                f"reference dimension {reference.shape[1]} != model dimension {model.dim}")
+
     return ExperimentConfig(
         experiment_id=exp.get_name("id"),
-        tol=tol,
-        model_kind=kind,
-        model_params=_model_params(sections["model"], kind),
-        constraints=constraints,
+        model=model,
+        cs=cs,
+        is_rd=is_rd,
         samplers=samplers,
         reference=reference,
         reference_samples=metrics.get_count("reference_samples", 512),
@@ -294,62 +311,14 @@ def parse_config(path) -> ExperimentConfig:
         csv_name=output.get_name("csv", default="results.csv"),
         figures=figures,
         figure_samples=output.get_count("figure_samples", 8),
-        base_dir=os.path.dirname(os.path.abspath(path)),
     )
 
 
-def _load(cfg: ExperimentConfig, path: str, what: str) -> np.ndarray:
-    path = path if os.path.isabs(path) else os.path.join(cfg.base_dir, path)
-    try:
-        return load_matrix(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load {what}: {exc}") from exc
-
-
-def build_workbench(cfg: ExperimentConfig, seed: int) -> Workbench:
-    """Construct the model, constraint set, and reference batch."""
-    params = cfg.model_params
-    is_rd = cfg.model_kind == "reaction_diffusion"
-    try:
-        if is_rd:
-            grid = RdGrid(n_s=params["n_s"], n_t=params["n_t"], dt_phys=params["dt_phys"])
-            fields, problems = rd_dataset(
-                grid, params["train_fields"] + 1, params["data_seed"],
-                nu=params["nu"], rho=params["rho"], delta=params["delta"])
-            # Problem 0 is held out: its constraints define the task and its
-            # solution is the reference; the target only sees the other fields.
-            target = EmpiricalTarget(fields[1:])
-            cs = rd_constraints(problems[0])
-        elif cfg.model_kind == "mixture":
-            target = GaussianMixtureTarget(params["means"], params["scales"],
-                                           params["weights"])
-        else:
-            target = EmpiricalTarget(_load(cfg, params["path"], "atoms"))
-    except ValueError as exc:
-        raise ConfigError(f"[model] {exc}") from exc
-    model = FlowModel(target)
-    if "trajectory_2d" in cfg.figures and model.dim != 2:
-        raise ConfigError(f"trajectory_2d figures need a 2-D model, got dimension {model.dim}")
-    if is_rd:
-        return Workbench(model=model, cs=cs, reference=fields[:1], is_rd=True)
-
-    for member in cfg.constraints:
-        if member.dim is not None and member.dim != model.dim:
-            raise ConfigError(
-                f"constraint dimension {member.dim} != model dimension {model.dim}")
-        subset = getattr(member, "coord_subset", None)
-        if subset is not None and max(subset) >= model.dim:
-            coords = " ".join(map(str, subset))
-            raise ConfigError(f"min_distance coords {coords} reach past "
-                              f"model dimension {model.dim}")
-    cs = ConstraintSet(cfg.constraints, tol=cfg.tol)
-
-    if cfg.reference == "rejection":
-        reference = rejection_sample(target, cs, cfg.reference_samples,
-                                     stream_rng(seed, REFERENCE_STREAM))
-    else:
-        reference = _load(cfg, cfg.reference, "reference batch")
-        if reference.shape[1] != model.dim:
-            raise ConfigError(
-                f"reference dimension {reference.shape[1]} != model dimension {model.dim}")
-    return Workbench(model=model, cs=cs, reference=reference, is_rd=False)
+def build_workbench(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
+    """The config with its reference batch: drawn by rejection from the
+    seed's stream when parse_config left it None."""
+    if cfg.reference is not None:
+        return cfg
+    return replace(cfg, reference=rejection_sample(cfg.model.target, cfg.cs,
+                                                   cfg.reference_samples,
+                                                   stream_rng(seed, REFERENCE_STREAM)))

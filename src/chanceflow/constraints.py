@@ -270,8 +270,8 @@ class ConstraintSet:
         for c in members:
             if not isinstance(c, CONSTRAINT_KINDS):
                 raise TypeError(f"unsupported constraint type {type(c).__name__}")
-        if float(self.tol) <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < float(self.tol) < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         dims = {c.dim for c in members if c.dim is not None}
         if len(dims) > 1:
             raise ValueError(f"constraints disagree on dimension: {sorted(dims)}")

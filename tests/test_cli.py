@@ -10,7 +10,7 @@ import pytest
 from chanceflow import (ConfigError, GnConfig, LinearBand, SampleRecord, SamplerConfig,
                         Scheduler)
 from chanceflow.cli import CSV_HEADER, ResultRow, main, run_experiment
-from chanceflow.config import parse_config
+from chanceflow.config import build_workbench, parse_config
 from chanceflow.figures import emit_figure
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -64,10 +64,47 @@ steps = 4
 """
 
 
+# An empirical model and a reference batch, both read from files named
+# relative to the config's directory.
+EMPIRICAL = """\
+[experiment]
+id = emp
+samples = 2
+
+[model]
+kind = empirical
+path = atoms.txt
+
+[sampler]
+algorithm = repeated
+steps = 4
+
+[constraint.wall]
+kind = halfspace
+a = 1 0
+b = 0.5
+
+[metrics]
+reference = ref.txt
+n_projections = 8
+"""
+
+
 def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text), encoding="utf-8")
     return str(path)
+
+
+def write_empirical(directory, text=EMPIRICAL):
+    """Writes the atoms, a feasible 2-D reference and a 3-D one next to the
+    config; returns the config path, the atoms and the 2-D reference."""
+    atoms = np.random.default_rng(0).standard_normal((16, 2))
+    reference = atoms[atoms[:, 0] <= 0.5]
+    np.savetxt(directory / "atoms.txt", atoms)
+    np.savetxt(directory / "ref.txt", reference)
+    np.savetxt(directory / "ref3.txt", np.hstack([reference, reference[:, :1]]))
+    return write_config(directory, text), atoms, reference
 
 
 # --- parsing ----------------------------------------------------------------
@@ -141,7 +178,7 @@ def test_quadratic_parses_to_the_band_of_its_square_root(tmp_path):
 
         [metrics]"""))
     cfg = parse_config(write_config(tmp_path, text))
-    _, slab = cfg.constraints
+    _, slab = cfg.cs.members
     assert isinstance(slab, LinearBand)
     assert np.array_equal(slab.a, [0.0, 2.0])
     assert slab.lo == -1.5 and slab.hi == 1.5
@@ -196,6 +233,34 @@ def test_out_of_range_coords_exit_2_without_output(tmp_path):
     assert not out.exists()
     assert main(["run", write_config(tmp_path, text.replace("coords = 0 5", "coords = 1 0"),
                                      name="ok.cfg"), "--out-dir", str(out)]) == 0
+
+
+def test_relative_paths_resolve_against_the_config_directory(tmp_path, monkeypatch):
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    path, atoms, reference = write_empirical(cfg_dir)
+    monkeypatch.chdir(tmp_path)  # neither file is in the working directory
+    bench = build_workbench(parse_config(path), 0)
+    assert np.array_equal(bench.model.target.atoms, atoms)
+    assert np.array_equal(bench.reference, reference)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out-dir", str(out)]) == 0
+    assert (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("a = 1 0", "a = 1 0 0"),                          # a 3-D wall on a 2-D model
+    ("reference = ref.txt", "reference = ref3.txt"),   # a 3-D reference batch
+    ("path = atoms.txt", "path = missing.txt"),        # no atoms file
+], ids=["constraint_dim", "reference_dim", "missing_atoms"])
+def test_mismatched_or_missing_input_exits_2_without_output(tmp_path, old, new):
+    assert old in EMPIRICAL
+    path, _, _ = write_empirical(tmp_path, EMPIRICAL.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert main(["run", write_config(tmp_path, EMPIRICAL, name="ok.cfg"),
+                 "--out-dir", str(out)]) == 0
 
 
 def test_marginal_ccfm_with_min_distance_exits_2_without_output(tmp_path):

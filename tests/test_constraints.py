@@ -459,6 +459,12 @@ def test_constraint_set_rejects_bad_tolerance():
         ConstraintSet((HALF,), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_constraint_set_rejects_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ConstraintSet((HALF,), tol=tol)
+
+
 def test_constraint_set_face_ordering():
     cs = ConstraintSet((HALF, LinearBand(np.array([0.0, 1.0]), -1.0, 1.0)))
     assert cs.n_faces == 3

@@ -12,8 +12,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Lines each demo must print verbatim: the tightened half-width of the band
 # |a.x| <= sqrt(b) below, at and above the radius where it collapses; the
-# ccfm and repeated rows of the head-to-head table; the default and the
-# slowest schedule of the movement table.
+# constraint count and the pathwise ccfm row of the reaction-diffusion
+# recovery; the ccfm and repeated rows of the head-to-head table; the default
+# and the slowest schedule of the movement table.
 PINNED = {
     "tightening_walkthrough.py": [
         "quadratic (a.x1)^2 <= b at t=0.6, n=0.5: critical b = 0.251084",
@@ -21,7 +22,10 @@ PINNED = {
         "  b = 1.0*crit (   at critical): |a.x_t| <= 0.000000",
         "  b = 2.0*crit (above critical): |a.x_t| <= 0.124533",
     ],
-    "reaction_diffusion_recovery.py": [],
+    "reaction_diffusion_recovery.py": [
+        "constraints: 16 initial-condition bands + 18 mass-balance faces, tolerance 1e-10",
+        "ccfm/pathwise      0.0106     0.0092    0.00e+00    4.99e-14",
+    ],
     "benchmark_2d_comparison.py": [
         "repeated     100.0%      0.3320      0.9674",
         "ccfm         100.0%      0.1950      0.3490",
