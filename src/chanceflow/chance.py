@@ -77,10 +77,11 @@ def sigma_of_t(t: float) -> float:
     return (1.0 - t) / t
 
 
-def _margin(a: np.ndarray, t: float, satisfy_prob: float) -> float:
+def _margin(a: np.ndarray, t: float, satisfy_prob: float):
     """Noise margin t*sigma(t)*||a||*z of a face a.x at time t, with z the
-    satisfy_prob normal quantile; exactly zero at t = 1."""
-    return t * sigma_of_t(t) * float(np.linalg.norm(a)) * normal_quantile(satisfy_prob)
+    satisfy_prob normal quantile; exactly zero at t = 1. Rows (k, d) give
+    one margin per row."""
+    return t * sigma_of_t(t) * np.sqrt(np.vecdot(a, a)) * normal_quantile(satisfy_prob)
 
 
 def tighten_linear(c: LinearIneq, t: float, satisfy_prob: float) -> LinearIneq:
@@ -91,17 +92,18 @@ def tighten_linear(c: LinearIneq, t: float, satisfy_prob: float) -> LinearIneq:
 
 
 def tighten_band(c: LinearBand, t: float, satisfy_prob: float) -> LinearBand | None:
-    """Deterministic surrogate of P(lo <= a.x1 <= hi) >= satisfy_prob at time t.
+    """Deterministic surrogate of P(lo <= a.x1 <= hi) >= satisfy_prob at time t,
+    row by row.
 
     The risk is split evenly over the two sides, so each side takes the
-    margin at (1 + p)/2: t*lo + m <= a.x_t <= t*hi - m. When the tightened
-    sides cross, no state satisfies both and None is returned: nothing is
-    enforced at this step.
+    margin at (1 + p)/2: t*lo + m <= a.x_t <= t*hi - m, with m scaled by
+    each row's norm. A row whose tightened sides cross has no state
+    satisfying both and is left out for this step; None is returned when no
+    row is left.
     """
     t = float(t)
     m = _margin(c.a, t, (1.0 + float(satisfy_prob)) / 2.0)
-    lo, hi = t * c.lo + m, t * c.hi - m
-    return LinearBand(c.a, lo, hi) if lo <= hi else None
+    return c.with_bounds(t * c.lo + m, t * c.hi - m)
 
 
 class TightenedConstraint(LinearIneq):
@@ -118,7 +120,7 @@ def tighten_set(cs: ConstraintSet, t: float, scheduler: Scheduler) -> Constraint
     clamp(phi(t)); only the MARGINAL_KINDS admit one. Each clean member
     becomes at most one member of its own type, in the clean order. Members
     with nothing enforceable this step are left out: all of them below the
-    probability floor, and a band whose tightened sides cross.
+    probability floor, and a band all of whose rows' tightened sides cross.
     """
     for c in cs.members:
         if not isinstance(c, MARGINAL_KINDS):
@@ -148,8 +150,8 @@ def _transport(c, t: float, x0: np.ndarray):
         shift = (1.0 - t) * float(c.a @ x0)
         return LinearIneq(c.a, t * c.b + shift)
     if isinstance(c, LinearBand):
-        shift = (1.0 - t) * float(c.a @ x0)
-        return LinearBand(c.a, t * c.lo + shift, t * c.hi + shift)
+        shift = (1.0 - t) * np.vecdot(x0, c.a)
+        return c.with_bounds(t * c.lo + shift, t * c.hi + shift)
     if isinstance(c, MinDistance):
         x0_sel = x0 if c.coord_subset is None else x0[list(c.coord_subset)]
         return MinDistance((1.0 - t) * x0_sel + t * c.center, t * c.radius, c.coord_subset)

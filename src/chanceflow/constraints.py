@@ -11,6 +11,11 @@ implements one interface:
 - project(x), on the families with has_closed_projection, is the exact
   Euclidean projection of one state.
 
+A LinearBand holds one row or a block of k rows whose A A^T is diagonal
+(checked exactly at construction): its faces are one row-wise dot product,
+its Jacobian is the signed rows, and its projection is the exact clip of
+every row in one pass, because orthogonal rows do not interact.
+
 Hinge residuals, active faces and the maximum violation are all read off
 face_values.
 """
@@ -40,13 +45,15 @@ _FD_RTOL = 1e-5
 _PROBE_SEED = 0x5EED_CAFE  # fixed stream for construction-time gradient probes
 
 
-def _unit_or_raise(a) -> np.ndarray:
+def _coefficients(a, ndims=(1,)) -> np.ndarray:
+    """Finite coefficients with ndim in ndims and no zero row."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError(f"coefficient vector must be 1-D and non-empty, got shape {a.shape}")
+    if a.ndim not in ndims or a.size == 0:
+        raise ValueError(f"coefficients must be non-empty with ndim in {ndims}, "
+                         f"got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("coefficient vector must be finite")
-    if np.linalg.norm(a) == 0.0:
+    if np.any(np.vecdot(a, a) == 0.0):
         raise ValueError("coefficient vector must be nonzero")
     return a
 
@@ -59,7 +66,7 @@ class LinearIneq:
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _unit_or_raise(self.a))
+        object.__setattr__(self, "a", _coefficients(self.a))
         object.__setattr__(self, "b", float(self.b))
         if np.isnan(self.b):
             raise ValueError("halfspace bound must not be NaN")
@@ -86,39 +93,84 @@ class LinearIneq:
 
 @dataclass(frozen=True)
 class LinearBand:
-    """Slab lo <= a.x <= hi; face 0 is the lower side, face 1 the upper."""
+    """Slab lo <= a.x <= hi, or a block of k slabs lo_r <= a_r.x <= hi_r.
+
+    a is one row (d,) with scalar bounds, or k rows (k, d) with bounds of
+    shape (k,); the rows of a block must be mutually orthogonal, with
+    a_r.a_q exactly 0.0 for r != q. Faces interleave the sides of each row:
+    2r is the lower side of row r, 2r + 1 its upper side.
+    """
 
     a: np.ndarray
-    lo: float
-    hi: float
+    lo: float | np.ndarray
+    hi: float | np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _unit_or_raise(self.a))
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        if not self.lo <= self.hi:
+        a = _coefficients(self.a, ndims=(1, 2))
+        rows = a.reshape(-1, a.shape[-1])
+        k = rows.shape[0]
+        lo = np.asarray(self.lo, dtype=float)
+        hi = np.asarray(self.hi, dtype=float)
+        shape = () if a.ndim == 1 else (k,)
+        if lo.shape != shape or hi.shape != shape:
+            raise ValueError(f"band bounds must have shape {shape} for coefficients of "
+                             f"shape {a.shape}, got {lo.shape} and {hi.shape}")
+        if not np.all(lo <= hi):
             raise ValueError(f"band requires lo <= hi, got [{self.lo}, {self.hi}]")
+        gram = rows @ rows.T
+        if np.any(gram[~np.eye(k, dtype=bool)] != 0.0):
+            raise ValueError("band rows must be mutually orthogonal (A A^T diagonal)")
+        jac = np.empty((2 * k, rows.shape[1]))
+        jac[0::2] = -rows
+        jac[1::2] = rows
+        jac.flags.writeable = False
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "lo", float(lo) if a.ndim == 1 else lo)
+        object.__setattr__(self, "hi", float(hi) if a.ndim == 1 else hi)
+        offset = np.empty(2 * k)
+        offset[0::2] = lo
+        offset[1::2] = -hi
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_lo", lo.reshape(k))
+        object.__setattr__(self, "_hi", hi.reshape(k))
+        object.__setattr__(self, "_sq", np.vecdot(rows, rows))
+        object.__setattr__(self, "_jac", jac)
+        object.__setattr__(self, "_offset", offset)
 
     @property
     def dim(self):
-        return self.a.size
+        return self._rows.shape[1]
 
-    n_faces = 2
+    @property
+    def n_faces(self) -> int:
+        return 2 * self._rows.shape[0]
+
     has_closed_projection = True
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
-        s = np.vecdot(x, self.a)
-        return np.array([self.lo - s, s - self.hi]).T
+        # (-a_r).x + lo_r and a_r.x + (-hi_r) round exactly as lo_r - a_r.x
+        # and a_r.x - hi_r: negation is exact.
+        return np.vecdot(np.asarray(x)[..., None, :], self._jac) + self._offset
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return np.array([-self.a, self.a])
+        return self._jac
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        s = float(self.a @ x)
-        c = min(max(s, self.lo), self.hi)
-        if c == s:
+        s = np.vecdot(x, self._rows)
+        step = np.minimum(np.maximum(s, self._lo), self._hi) - s
+        if not step.any():
             return np.array(x, dtype=float)
-        return x + ((c - s) / float(self.a @ self.a)) * self.a
+        return x + (step / self._sq) @ self._rows
+
+    def with_bounds(self, lo, hi) -> LinearBand | None:
+        """The same rows with new bounds of this band's shape. Rows whose
+        new bounds cross are left out; None when no row is left."""
+        keep = np.asarray(lo) <= np.asarray(hi)
+        if keep.all():
+            return LinearBand(self.a, lo, hi)
+        if self.a.ndim == 1 or not keep.any():
+            return None
+        return LinearBand(self.a[keep], np.asarray(lo)[keep], np.asarray(hi)[keep])
 
 
 @dataclass(frozen=True)
@@ -280,6 +332,9 @@ class ConstraintSet:
         object.__setattr__(self, "tol", float(self.tol))
         faces = tuple((i, j) for i, c in enumerate(members) for j in range(c.n_faces))
         object.__setattr__(self, "_faces", faces)
+        owner, local = np.array(faces, dtype=np.intp).reshape(-1, 2).T
+        object.__setattr__(self, "_face_owner", owner)
+        object.__setattr__(self, "_face_local", local)
 
     @property
     def dim(self):
@@ -325,24 +380,25 @@ def _check_point(cs: ConstraintSet, x) -> np.ndarray:
 
 
 def jacobian_active(cs: ConstraintSet, x, active: list[int]) -> np.ndarray:
-    """Gradient rows of the listed faces, one row per active face.
+    """Gradient rows of the listed faces, one row per active face, in the
+    listed order.
 
     Each member owning an active face has its Jacobian evaluated once, and
-    the active rows are gathered from it.
+    all of its active rows are gathered from it with one index.
     """
     if len(active) == 0:
         raise ValueError("jacobian_active requires a nonempty active list")
     x = _check_point(cs, x)
     if x.ndim != 1:
         raise ValueError(f"jacobian_active takes one state (d,), got shape {x.shape}")
-    jacobians = {}
-    rows = []
-    for face in active:
-        i, j = cs.faces[int(face)]
-        if i not in jacobians:
-            jacobians[i] = cs.members[i].jacobian(x)
-        rows.append(jacobians[i][j])
-    return np.stack(rows)
+    active = np.asarray(active, dtype=np.intp)
+    owner = cs._face_owner[active]
+    local = cs._face_local[active]
+    rows = np.empty((active.size, x.size))
+    for i in dict.fromkeys(owner.tolist()):
+        mine = owner == i
+        rows[mine] = cs.members[i].jacobian(x)[local[mine]]
+    return rows
 
 
 def hinge_max(vals: np.ndarray) -> float:

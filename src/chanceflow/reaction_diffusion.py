@@ -10,9 +10,10 @@ fluxes telescope, so the discrete mass balance
 holds to rounding. The constraint assembly integrates the same quadrature
 (trapezoid in space, left endpoint in time), which is what makes simulated
 fields feasible for their own constraint set at machine accuracy. The set
-holds one coordinate band per cell of frame 0 (the initial condition) and a
-single mass-law member whose 2 (n_t - 1) faces are both sides of every later
-frame's balance, evaluated in one vectorized pass with an analytic Jacobian.
+holds two members: one LinearBand whose n_s unit rows pin every cell of
+frame 0 (the initial condition), and a mass-law member whose 2 (n_t - 1)
+faces are both sides of every later frame's balance, evaluated in one
+vectorized pass with an analytic Jacobian.
 
 Flattened state convention: x[j * n_s + i] = v(s_i, t_j), so frame 0
 occupies the first n_s entries.
@@ -191,7 +192,10 @@ def _mass_constraint(problem: RdProblem) -> SmoothScalar:
     earlier = np.tri(m, dtype=bool)[:, :, None]  # earlier[k-1, j] is j < k
 
     def both_sides(h: np.ndarray) -> np.ndarray:
-        return np.stack([h, -h], axis=1).reshape(2 * m, *h.shape[1:])
+        out = np.empty((2 * m,) + h.shape[1:])
+        out[0::2] = h
+        np.negative(h, out=out[1::2])
+        return out
 
     def g(x: np.ndarray) -> np.ndarray:
         frames = x.reshape(n_t, n_s)
@@ -209,17 +213,14 @@ def _mass_constraint(problem: RdProblem) -> SmoothScalar:
 
 
 def rd_constraints(problem: RdProblem) -> ConstraintSet:
-    """IC band on each cell of frame 0, then one member holding the
-    two-sided mass balance of every later frame. The set's tolerance matches
-    the band half-width delta."""
+    """One band of n_s unit rows holding each cell of frame 0 within delta of
+    the initial condition, then one member holding the two-sided mass
+    balance of every later frame. The set's tolerance matches the band
+    half-width delta."""
     grid = problem.grid
-    members = []
-    for i in range(grid.n_s):
-        a = np.zeros(grid.d)
-        a[i] = 1.0
-        members.append(LinearBand(a, problem.ic[i] - problem.delta, problem.ic[i] + problem.delta))
-    members.append(_mass_constraint(problem))
-    return ConstraintSet(tuple(members), tol=problem.delta)
+    ic_band = LinearBand(np.eye(grid.n_s, grid.d), problem.ic - problem.delta,
+                         problem.ic + problem.delta)
+    return ConstraintSet((ic_band, _mass_constraint(problem)), tol=problem.delta)
 
 
 def rd_metrics(generated, reference, cs: ConstraintSet) -> RdMetrics:
@@ -239,7 +240,7 @@ def rd_metrics(generated, reference, cs: ConstraintSet) -> RdMetrics:
 
 def rd_violation_split(finals: np.ndarray, cs: ConstraintSet) -> tuple[float, float]:
     """Worst hinge violation over a batch of states, split into the
-    initial-condition bands (cv_ic) and every other member (cv_cl)."""
+    initial-condition band (cv_ic) and every other member (cv_cl)."""
     cv_ic = 0.0
     cv_cl = 0.0
     for member in cs.members:

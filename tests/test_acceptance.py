@@ -32,6 +32,7 @@ from chanceflow.cli import run_experiment
 from chanceflow.oracles import halfspace_qp_project
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 T_CHOICES = np.array([0.2, 0.5, 0.8])
 PROB_CHOICES = np.array([0.9, 0.95, 0.99])
@@ -356,16 +357,18 @@ def test_c09_reaction_diffusion_is_self_consistent():
 
 
 def test_c10_shipped_configs_are_deterministic(tmp_path):
+    # Each CSV must also match its golden copy in tests/golden, so a change
+    # meant to be bitwise (a faster path to the same numbers) is checked here.
     started = time.perf_counter()
-    for name in ("benchmark_2d.cfg", "early_freedom.cfg", "rd_ccfm.cfg"):
+    for name in ("benchmark_2d", "early_freedom", "rd_ccfm"):
         outputs = []
         for threads in (1, 3):
             out = tmp_path / f"{name}.t{threads}"
-            assert run_experiment(CONFIG_DIR / name, out_dir=str(out),
+            assert run_experiment(CONFIG_DIR / f"{name}.cfg", out_dir=str(out),
                                   threads=threads) == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outputs[0] == outputs[1]
-        assert any(n.endswith(".csv") for n in outputs[0])
+        assert outputs[0][f"{name}.csv"] == (GOLDEN_DIR / f"{name}.csv").read_bytes()
     elapsed = time.perf_counter() - started
     print(f"criterion 10 PASS: 3 configs byte-identical across reruns and "
-          f"thread counts, {elapsed:.1f}s")
+          f"thread counts, and to their golden CSVs, {elapsed:.1f}s")

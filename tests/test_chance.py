@@ -278,6 +278,69 @@ def test_tighten_band_matches_its_two_tightened_sides():
     assert 0 < crossed < 2000
 
 
+def test_one_row_tighten_and_transport_keep_their_formulas_bitwise():
+    # The formulas of a one-row band as written before bands held blocks of
+    # rows, for both one-row layouts.
+    rng = stream_rng(31, 9)
+    crossed = 0
+    for _ in range(500):
+        d = int(rng.integers(1, 13))
+        a = rng.standard_normal(d)
+        mid, half = rng.uniform(-1.0, 1.0), rng.exponential(0.5)
+        lo, hi = mid - half, mid + half
+        t = float(rng.uniform(0.05, 1.0))
+        prob = float(rng.uniform(0.01, 0.999))
+        x0 = rng.standard_normal(d)
+        m = t * ((1.0 - t) / t) * float(np.linalg.norm(a)) * normal_quantile((1.0 + prob) / 2.0)
+        shift = (1.0 - t) * float(a @ x0)
+        for band in (LinearBand(a, lo, hi), LinearBand(a[None], [lo], [hi])):
+            out = tighten_band(band, t, prob)
+            if not t * lo + m <= t * hi - m:
+                assert out is None
+                crossed += 1
+            else:
+                assert np.array_equal(out.a, band.a)
+                assert out.lo == t * lo + m and out.hi == t * hi - m
+            (moved,) = transport_set(ConstraintSet((band,)), t, x0).members
+            assert np.array_equal(moved.a, band.a)
+            assert moved.lo == t * lo + shift and moved.hi == t * hi + shift
+    assert 0 < crossed < 1000
+
+
+def test_band_block_tightens_and_transports_row_by_row():
+    # Each row of a block takes its own margin or shift, bitwise that of the
+    # row as a one-row band; only rows whose sides cross are left out.
+    rng = stream_rng(31, 10)
+    partial = dropped = 0
+    for _ in range(400):
+        d = int(rng.integers(2, 9))
+        k = int(rng.integers(1, d + 1))
+        cells = rng.permutation(d)[:k]
+        rows = np.eye(d)[cells] * rng.uniform(0.2, 3.0, (k, 1))
+        mid, half = rng.uniform(-1.0, 1.0, k), rng.exponential(0.3, k)
+        block = LinearBand(rows, mid - half, mid + half)
+        singles = [LinearBand(rows[r], mid[r] - half[r], mid[r] + half[r]) for r in range(k)]
+        t = float(rng.uniform(0.05, 1.0))
+        prob = float(rng.uniform(0.01, 0.999))
+        out = tighten_band(block, t, prob)
+        want = [b for b in (tighten_band(b, t, prob) for b in singles) if b is not None]
+        partial += 0 < len(want) < k
+        if not want:
+            assert out is None
+            dropped += 1
+        else:
+            assert np.array_equal(out.a, np.stack([b.a for b in want]))
+            assert np.array_equal(out.lo, [b.lo for b in want])
+            assert np.array_equal(out.hi, [b.hi for b in want])
+        x0 = rng.standard_normal(d)
+        (moved,) = transport_set(ConstraintSet((block,)), t, x0).members
+        want = [transport_set(ConstraintSet((b,)), t, x0).members[0] for b in singles]
+        assert np.array_equal(moved.a, rows)
+        assert np.array_equal(moved.lo, [b.lo for b in want])
+        assert np.array_equal(moved.hi, [b.hi for b in want])
+    assert partial > 0 and dropped > 0
+
+
 def test_lone_tightened_band_projects_by_its_clip():
     # A set holding one tightened band takes the band's exact clip, which
     # lands where Dykstra's cycle over its two sides does.

@@ -15,6 +15,7 @@ from chanceflow import (ConfigError, ConstraintSet, GradientSingularityError,
                         SmoothScalar, final_refine, max_violation)
 from chanceflow.config import parse_config
 from chanceflow.constraints import jacobian_active
+from chanceflow.oracles import halfspace_qp_project
 from chanceflow.numerics import stream_rng
 
 HALF = LinearIneq(np.array([1.0, 0.0]), 1.0)
@@ -25,6 +26,16 @@ def quadratic(a, b):
     parses to."""
     root = math.sqrt(b)
     return LinearBand(a, -root, root)
+
+
+def disjoint_rows(v, cuts):
+    """Rows holding the pieces of v between the cuts, zero elsewhere: their
+    supports are disjoint, so A A^T is exactly diagonal."""
+    pieces = np.split(np.arange(v.size), cuts)
+    rows = np.zeros((len(pieces), v.size))
+    for r, idx in enumerate(pieces):
+        rows[r, idx] = v[idx]
+    return rows
 
 
 def fd_gradient(cs, x, face, h=1e-6):
@@ -78,6 +89,8 @@ def _batch_cases():
             smooth1,
         ))),
         ("empty_set", ConstraintSet(())),
+        ("band_block", LinearBand(disjoint_rows(a[1], (3, 5)), [-0.3, -1.0, 0.0],
+                                  [0.9, 0.2, 1.5])),
     ]
 
 
@@ -331,6 +344,133 @@ def test_band_equals_two_halfspaces():
         in_band = np.all(band.face_values(x) <= 0.0)
         in_pair = max_violation(pair, x) == 0.0
         assert in_band == in_pair
+
+
+# --- blocks of orthogonal band rows -----------------------------------------------------
+
+
+def frozen_band_faces(a, lo, hi, x):
+    """A one-row band's faces as written before bands held blocks of rows."""
+    s = np.vecdot(x, a)
+    return np.array([lo - s, s - hi]).T
+
+
+def frozen_band_project(a, lo, hi, x):
+    """A one-row band's clip as written before bands held blocks of rows."""
+    s = float(a @ x)
+    c = min(max(s, lo), hi)
+    if c == s:
+        return np.array(x, dtype=float)
+    return x + ((c - s) / float(a @ a)) * a
+
+
+def random_blocks(rng, d, k):
+    """k rows of disjoint random support in dimension d, with bounds."""
+    rows = disjoint_rows(rng.standard_normal(d), np.sort(rng.choice(np.arange(1, d), k - 1,
+                                                                    replace=False)))
+    mid = rng.uniform(-1.0, 1.0, k)
+    half = rng.exponential(0.5, k)
+    return rows, mid - half, mid + half
+
+
+def test_one_row_band_keeps_its_formulas_bitwise():
+    rng = stream_rng(21, 11)
+    moved = 0
+    for _ in range(300):
+        d = int(rng.integers(1, 13))
+        a = rng.standard_normal(d)
+        lo = float(rng.uniform(-1.5, 0.5))
+        hi = lo + float(rng.exponential(1.0))
+        xs = 2.0 * rng.standard_normal((5, d))
+        for band in (LinearBand(a, lo, hi), LinearBand(a[None], [lo], [hi])):
+            assert np.array_equal(band.face_values(xs), frozen_band_faces(a, lo, hi, xs))
+            assert np.array_equal(band.jacobian(xs[0]), np.array([-a, a]))
+            for x in xs:
+                assert np.array_equal(band.face_values(x), frozen_band_faces(a, lo, hi, x))
+                got = band.project(x)
+                assert np.array_equal(got, frozen_band_project(a, lo, hi, x))
+                moved += not np.array_equal(got, x)
+    assert moved > 0
+
+
+def test_band_block_projects_onto_its_halfspaces():
+    rng = stream_rng(21, 12)
+    for _ in range(60):
+        d = int(rng.integers(3, 6))
+        k = int(rng.integers(2, 4))
+        rows, lo, hi = random_blocks(rng, d, k)
+        band = LinearBand(rows, lo, hi)
+        sides = [c for r in range(k)
+                 for c in (LinearIneq(-rows[r], -lo[r]), LinearIneq(rows[r], hi[r]))]
+        x = 2.0 * rng.standard_normal(d)
+        got = band.project(x)
+        assert np.allclose(got, halfspace_qp_project(x, sides), rtol=0.0, atol=1e-10)
+        assert np.all(band.face_values(got) <= 1e-12)
+
+
+def test_rotated_rows_make_a_block():
+    # Orthogonal rows need not have disjoint support; the check is A A^T.
+    band = LinearBand(np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 0.0]]), [-1.0, 0.0], [1.0, 0.5])
+    x = np.array([3.0, -2.0, 0.7])
+    want = halfspace_qp_project(x, [LinearIneq(-band.a[0], 1.0), LinearIneq(band.a[0], 1.0),
+                                    LinearIneq(-band.a[1], 0.0), LinearIneq(band.a[1], 0.5)])
+    assert np.allclose(band.project(x), want, rtol=0.0, atol=1e-12)
+
+
+def test_unit_row_block_equals_sequential_one_row_clips():
+    # One-hot rows in any order: the one-pass clip is bitwise the chain of
+    # one-row clips, and so are the faces and Jacobian rows.
+    rng = stream_rng(21, 13)
+    for _ in range(100):
+        d = int(rng.integers(2, 40))
+        k = int(rng.integers(1, d + 1))
+        cells = rng.permutation(d)[:k]
+        lo = rng.uniform(-1.0, 0.5, k)
+        hi = lo + rng.exponential(0.5, k)
+        block = LinearBand(np.eye(d)[cells], lo, hi)
+        singles = [LinearBand(np.eye(d)[i], lo[r], hi[r]) for r, i in enumerate(cells)]
+        for x in 1.5 * rng.standard_normal((3, d)):
+            want = x
+            for band in singles:
+                want = band.project(want)
+            assert np.array_equal(block.project(x), want)
+            assert np.array_equal(block.face_values(x),
+                                  np.concatenate([b.face_values(x) for b in singles]))
+        assert np.array_equal(block.jacobian(x), np.vstack([b.jacobian(x) for b in singles]))
+
+
+def test_jacobian_active_gathers_block_rows_in_listed_order():
+    rows = disjoint_rows(np.arange(1.0, 5.0), (1, 3))
+    block = LinearBand(rows, [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+    line = LinearIneq(np.array([0.5, 0.0, -1.0, 2.0]), 0.0)
+    cs = ConstraintSet((line, block, line))
+    x = np.array([0.3, -0.2, 1.1, 0.4])
+    table = np.vstack([line.a, block.jacobian(x), line.a])
+    for active in ([3, 0, 6, 1], [7, 6, 5, 4, 3, 2, 1, 0], [2], [4, 2]):
+        assert np.array_equal(jacobian_active(cs, x, active), table[active])
+
+
+def test_band_block_rejects_bad_rows_and_bounds():
+    eye = np.eye(3)
+    with pytest.raises(ValueError, match="orthogonal"):
+        LinearBand(np.array([[1.0, 1.0, 0.0], [1.0, 0.5, 0.0]]), [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="lo <= hi"):
+        LinearBand(eye, [0.0, 1.0, 0.0], [1.0, 0.5, 1.0])
+    for lo, hi in (([0.0, np.nan, 0.0], [1.0, 1.0, 1.0]), ([0.0, 0.0, 0.0], [1.0, 1.0, np.nan])):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            LinearBand(eye, lo, hi)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        LinearBand(eye[0], np.nan, 1.0)
+    for a, lo, hi in ((eye, [0.0, 0.0], [1.0, 1.0, 1.0]),
+                      (eye, [0.0, 0.0, 0.0], [1.0, 1.0]),
+                      (eye, 0.0, [1.0, 1.0, 1.0]),
+                      (eye[0], [0.0], [1.0])):
+        with pytest.raises(ValueError, match="shape"):
+            LinearBand(a, lo, hi)
+    with pytest.raises(ValueError, match="nonzero"):
+        LinearBand(np.array([[1.0, 0.0], [0.0, 0.0]]), [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        LinearBand(np.ones((1, 1, 2)), [0.0], [1.0])
 
 
 # --- construction checks -------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Reaction-diffusion benchmark: simulator, constraint assembly, and metrics."""
 
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
 from chanceflow import (ConstraintSet, EmpiricalTarget, FlowModel,
                         NumericalError, RdGrid, RdProblem, SamplerConfig,
-                        SmoothScalar, max_violation, rd_constraints, rd_dataset,
-                        rd_metrics, run_batch, simulate_rd)
-from chanceflow.constraints import LinearBand
+                        SmoothScalar, final_refine, max_violation, rd_constraints,
+                        rd_dataset, rd_metrics, run_batch, simulate_rd)
+from chanceflow import projection
+from chanceflow.config import parse_config
+from chanceflow.constraints import LinearBand, jacobian_active
 from chanceflow.numerics import stream_rng
-from chanceflow.reaction_diffusion import as_field, sample_rd_problem
+from chanceflow.reaction_diffusion import as_field, rd_violation_split, sample_rd_problem
 
 GRID = RdGrid(n_s=32, n_t=20, dt_phys=0.25)
 
@@ -90,17 +93,58 @@ def test_simulated_field_satisfies_its_own_constraints():
     assert max_violation(cs, x) <= cs.tol
 
 
-def test_constraint_counts():
-    # Layout: one IC band per cell of frame 0, then the single mass member
-    # carrying both sides of every later frame's balance.
+def per_cell_bands(problem):
+    """The initial condition as one one-row band per cell of frame 0: the
+    layout the block band replaced, kept here as its oracle."""
+    grid = problem.grid
+    bands = []
+    for i in range(grid.n_s):
+        a = np.zeros(grid.d)
+        a[i] = 1.0
+        bands.append(LinearBand(a, problem.ic[i] - problem.delta, problem.ic[i] + problem.delta))
+    return bands
+
+
+def test_ic_block_matches_per_cell_bands():
+    # Layout: one band of n_s unit rows for frame 0, then the single mass
+    # member carrying both sides of every later frame's balance. Everything
+    # the samplers read off the set is bitwise that of one band per cell.
     problem = sample_rd_problem(GRID, stream_rng(51, 3))
     cs = rd_constraints(problem)
     assert cs.n_faces == 2 * GRID.n_s + 2 * (GRID.n_t - 1)
-    assert len(cs.members) == GRID.n_s + 1
-    assert all(isinstance(m, LinearBand) for m in cs.members[:GRID.n_s])
-    mass = cs.members[-1]
+    ic, mass = cs.members
+    assert isinstance(ic, LinearBand) and ic.a.shape == (GRID.n_s, GRID.d)
     assert isinstance(mass, SmoothScalar)
     assert mass.n_faces == 2 * (GRID.n_t - 1)
+    cells = per_cell_bands(problem)
+    oracle = ConstraintSet((*cells, mass), tol=cs.tol)
+
+    rng = stream_rng(51, 11)
+    sim = simulate_rd(problem).ravel()
+    far = sim.copy()
+    far[:GRID.n_s] += rng.uniform(-8.0, 8.0, GRID.n_s)
+    xs = np.stack([sim, sim + 0.01 * rng.standard_normal(GRID.d), far])
+    assert np.array_equal(cs.face_values(xs), oracle.face_values(xs))
+    assert rd_violation_split(xs, cs) == rd_violation_split(xs, oracle)
+    for x in xs:
+        assert np.array_equal(cs.face_values(x), oracle.face_values(x))
+        active = rng.permutation(cs.n_faces)[:40]
+        assert np.array_equal(jacobian_active(cs, x, active), jacobian_active(oracle, x, active))
+        got, want = final_refine(x, cs), final_refine(x, oracle)
+        assert np.array_equal(got.x_out, want.x_out)
+        assert got.history == want.history and got.converged
+
+    # The polish clips each cell as x_i + (c_i - x_i), which is not always c_i.
+    want = far
+    for band in cells:
+        want = band.project(want)
+    got = ic.project(far)
+    assert np.array_equal(got, want)
+    x = far[:GRID.n_s]
+    c = np.clip(x, ic.lo, ic.hi)
+    assert np.array_equal(got[:GRID.n_s], x + (c - x))
+    assert np.any(got[:GRID.n_s] != c)
+    assert np.array_equal(got[GRID.n_s:], far[GRID.n_s:])
 
 
 def test_perturbed_initial_frame_gives_band_violation():
@@ -253,3 +297,50 @@ def test_ccfm_reaches_exact_ic_band_and_tiny_mass_defect():
         assert rec.refine_converged
     assert metrics.cv_ic <= 1e-10
     assert metrics.cv_cl <= 1e-8
+
+
+def test_per_step_gauss_newton_may_stop_short_of_the_set(tmp_path, monkeypatch):
+    # With gn_iters = 1, as in configs/rd_ccfm.cfg, a per-step Gauss-Newton
+    # pass often ends above its tolerance. That is the configured policy, not
+    # a failure: terminal feasibility comes from final_refine, which every
+    # record reports.
+    path = tmp_path / "rd_small.cfg"
+    path.write_text(textwrap.dedent("""\
+        [experiment]
+        id = rd_small
+        seed = 2
+        samples = 3
+        [model]
+        kind = reaction_diffusion
+        n_s = 8
+        n_t = 4
+        dt_phys = 0.2
+        train_fields = 5
+        [sampler]
+        algorithm = ccfm
+        mode = pathwise
+        steps = 20
+        gn_iters = 1
+        final_budget = 30
+        """), encoding="utf-8")
+    cfg = parse_config(str(path))
+    (scfg,) = cfg.samplers
+    assert scfg.gn.max_iters == 1
+    calls = []
+    real = projection.gauss_newton_project
+
+    def spy(x, cs, gn=projection.GnConfig()):
+        report = real(x, cs, gn)
+        calls.append((gn.max_iters, report))
+        return report
+
+    monkeypatch.setattr(projection, "gauss_newton_project", spy)
+    records = run_batch(cfg.model, cfg.cs, scfg)
+    per_step = [report for iters, report in calls if iters == 1]
+    refines = [report for iters, report in calls if iters == scfg.final_budget]
+    assert len(per_step) + len(refines) == len(calls)
+    assert len(refines) == len(records)
+    assert any(not report.converged for report in per_step)
+    for rec in records:
+        assert rec.refine_converged
+        assert rec.final_violation <= cfg.cs.tol
