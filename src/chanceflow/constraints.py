@@ -49,11 +49,11 @@ def _coefficients(a, ndims=(1,)) -> np.ndarray:
     """Finite coefficients with ndim in ndims and no zero row."""
     a = np.asarray(a, dtype=float)
     if a.ndim not in ndims or a.size == 0:
-        raise ValueError(f"coefficients must be non-empty with ndim in {ndims}, "
-                         f"got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+        allowed = " or ".join(f"{n}-D" for n in ndims)
+        raise ValueError(f"coefficients must be {allowed} and non-empty, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError("coefficient vector must be finite")
-    if np.any(np.vecdot(a, a) == 0.0):
+    if (np.vecdot(a, a) == 0.0).any():
         raise ValueError("coefficient vector must be nonzero")
     return a
 
@@ -115,10 +115,11 @@ class LinearBand:
         if lo.shape != shape or hi.shape != shape:
             raise ValueError(f"band bounds must have shape {shape} for coefficients of "
                              f"shape {a.shape}, got {lo.shape} and {hi.shape}")
-        if not np.all(lo <= hi):
+        if not (lo <= hi).all():
             raise ValueError(f"band requires lo <= hi, got [{self.lo}, {self.hi}]")
-        gram = rows @ rows.T
-        if np.any(gram[~np.eye(k, dtype=bool)] != 0.0):
+        off_diagonal = rows @ rows.T
+        off_diagonal.flat[::k + 1] = 0.0
+        if off_diagonal.any():
             raise ValueError("band rows must be mutually orthogonal (A A^T diagonal)")
         jac = np.empty((2 * k, rows.shape[1]))
         jac[0::2] = -rows
@@ -148,9 +149,17 @@ class LinearBand:
     has_closed_projection = True
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
-        # (-a_r).x + lo_r and a_r.x + (-hi_r) round exactly as lo_r - a_r.x
-        # and a_r.x - hi_r: negation is exact.
-        return np.vecdot(np.asarray(x)[..., None, :], self._jac) + self._offset
+        x = np.asarray(x)
+        if x.ndim == 1:
+            # One state: (-a_r).x + lo_r and a_r.x + (-hi_r) round exactly as
+            # lo_r - a_r.x and a_r.x - hi_r, because negation is exact.
+            return np.vecdot(x, self._jac) + self._offset
+        # A batch: one product per row and state, half as many dot calls.
+        s = np.vecdot(x[:, None, :], self._rows)
+        vals = np.empty((len(x), self.n_faces))
+        vals[:, 0::2] = self._lo - s
+        vals[:, 1::2] = s - self._hi
+        return vals
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self._jac
