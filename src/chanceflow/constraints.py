@@ -125,12 +125,12 @@ class LinearBand:
         jac[0::2] = -rows
         jac[1::2] = rows
         jac.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "lo", float(lo) if a.ndim == 1 else lo)
-        object.__setattr__(self, "hi", float(hi) if a.ndim == 1 else hi)
         offset = np.empty(2 * k)
         offset[0::2] = lo
         offset[1::2] = -hi
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "lo", float(lo) if a.ndim == 1 else lo)
+        object.__setattr__(self, "hi", float(hi) if a.ndim == 1 else hi)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_lo", lo.reshape(k))
         object.__setattr__(self, "_hi", hi.reshape(k))
