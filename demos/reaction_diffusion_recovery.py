@@ -16,8 +16,8 @@ import argparse
 import numpy as np
 
 from chanceflow import (EmpiricalTarget, FlowModel, GnConfig, RdGrid,
-                        SamplerConfig, rd_constraints, rd_dataset, rd_metrics,
-                        run_batch)
+                        SamplerConfig, moment_errors, rd_constraints, rd_dataset,
+                        rd_violation_split, run_batch)
 
 ASCII_LEVELS = " .:-=+*#%@"
 
@@ -60,13 +60,14 @@ def main() -> int:
                             samples=args.samples, gn=GnConfig(max_iters=1),
                             final_budget=30)
         records = run_batch(model, cs if constrained else None, cfg)
-        rows.append((label, rd_metrics([r.x1 for r in records], held_out, cs)))
+        finals = np.stack([r.x1 for r in records])
+        rows.append((label, *moment_errors(finals, held_out),
+                     *rd_violation_split(finals, cs)))
 
     print("sampler          mean-MSE    std-MSE     worst IC    worst mass")
     print("-" * 66)
-    for label, m in rows:
-        print(f"{label:<15} {m.mmse:9.4f}  {m.smse:9.4f}   {m.cv_ic:9.2e}"
-              f"   {m.cv_cl:9.2e}")
+    for label, mmse, smse, cv_ic, cv_cl in rows:
+        print(f"{label:<15} {mmse:9.4f}  {smse:9.4f}   {cv_ic:9.2e}   {cv_cl:9.2e}")
 
     cfg = SamplerConfig(algorithm="ccfm", n_steps=50, mode="pathwise",
                         seed=args.seed, samples=1, gn=GnConfig(max_iters=1),

@@ -18,13 +18,12 @@ from .flow import (EmpiricalTarget, FlowModel, GaussianMixtureTarget,
 from .numerics import normal_cdf, normal_quantile, solve_spd, stream_rng
 from .oracles import (BruteForceConfig, DistortionReport, McEstimate,
                       brute_force_project, feasibility_report, mc_chance,
-                      rejection_sample, sample_target, sliced_w2)
+                      moment_errors, rejection_sample, sample_target, sliced_w2)
 from .projection import (GnConfig, ProjectionReport, final_refine,
                          gauss_newton_project, project, project_decomposed,
                          project_pocs)
-from .reaction_diffusion import (RdGrid, RdMetrics, RdProblem, rd_constraints,
-                                 rd_dataset, rd_metrics, sample_rd_problem,
-                                 simulate_rd)
+from .reaction_diffusion import (RdGrid, RdProblem, rd_constraints, rd_dataset,
+                                 rd_violation_split, sample_rd_problem, simulate_rd)
 from .samplers import SampleRecord, SamplerConfig, run_batch
 
 __version__ = "0.1.0"
@@ -38,12 +37,12 @@ __all__ = [
     "load_matrix", "recover_x1",
     "normal_cdf", "normal_quantile", "solve_spd", "stream_rng",
     "BruteForceConfig", "DistortionReport", "McEstimate", "brute_force_project",
-    "feasibility_report", "mc_chance", "rejection_sample", "sample_target",
-    "sliced_w2",
+    "feasibility_report", "mc_chance", "moment_errors", "rejection_sample",
+    "sample_target", "sliced_w2",
     "GnConfig", "ProjectionReport", "final_refine", "gauss_newton_project",
     "project", "project_decomposed", "project_pocs",
-    "RdGrid", "RdMetrics", "RdProblem", "rd_constraints", "rd_dataset",
-    "rd_metrics", "sample_rd_problem", "simulate_rd",
+    "RdGrid", "RdProblem", "rd_constraints", "rd_dataset", "rd_violation_split",
+    "sample_rd_problem", "simulate_rd",
     "SampleRecord", "SamplerConfig", "run_batch",
     "__version__",
 ]

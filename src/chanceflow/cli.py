@@ -109,6 +109,9 @@ def _write_csv(rows, path: str) -> None:
 def run_experiment(cfg_path, seed: int | None = None, out_dir: str = ".",
                    threads: int = 1) -> int:
     """Execute one config end to end; returns the process exit code."""
+    if threads < 1:
+        log.error("config error: threads must be at least 1, got %d", threads)
+        return 2
     try:
         cfg = parse_config(cfg_path)
     except ConfigError as exc:
@@ -173,7 +176,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--out-dir", default=".",
                        help="directory for CSV and figure output")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sample generation")
+                       help="worker threads for sample generation (at least 1)")
     sub.add_parser("verify", help="run the self-check oracle battery")
     args = parser.parse_args(argv)
     if args.command == "run":

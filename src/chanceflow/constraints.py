@@ -17,7 +17,9 @@ its Jacobian is the signed rows, and its projection is the exact clip of
 every row in one pass, because orthogonal rows do not interact.
 
 Hinge residuals, active faces and the maximum violation are all read off
-face_values.
+face_values. max_violation(cs, x) is batch-first too: a float for one
+state, a (B,) array for a batch, and every feasibility test of a
+ConstraintSet goes through it.
 """
 
 from __future__ import annotations
@@ -415,6 +417,15 @@ def hinge_max(vals: np.ndarray) -> float:
     return float(max(0.0, vals.max())) if vals.size else 0.0
 
 
-def max_violation(cs: ConstraintSet, x) -> float:
-    """Largest hinge residual; 0.0 when feasible or the set is empty."""
-    return hinge_max(cs.face_values(x))
+def max_violation(cs: ConstraintSet, x) -> float | np.ndarray:
+    """Largest hinge residual max(0, max face): a float for one state (d,),
+    a (B,) array for a batch (B, d), each entry bitwise the value of its row
+    alone. 0.0 when feasible or the set is empty; a largest face of -0.0
+    reads +0.0."""
+    vals = cs.face_values(x)
+    if vals.ndim == 1:
+        return hinge_max(vals)
+    if not vals.shape[1]:
+        return np.zeros(len(vals))
+    # On a tie np.maximum returns its second argument, so 0.0 goes last.
+    return np.maximum(vals.max(axis=1), 0.0)

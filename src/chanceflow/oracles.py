@@ -92,8 +92,7 @@ def mc_chance(constraint, x_t: np.ndarray, t: float, n_trials: int,
     x_t = np.asarray(x_t, dtype=float)
     noise = rng.standard_normal((n_trials, x_t.size))
     y = x_t / t - ((1.0 - t) / t) * noise
-    vals = constraint.face_values(y)
-    ok = np.all(vals <= 0.0, axis=1)
+    ok = max_violation(ConstraintSet((constraint,)), y) == 0.0
     p_hat = float(ok.mean())
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n_trials))
     return McEstimate(p_hat=p_hat, stderr=stderr, n_trials=n_trials)
@@ -152,7 +151,7 @@ def brute_force_project(x: np.ndarray, cs: ConstraintSet,
                     if rest else np.zeros((1, 0)))
         for v0 in axes[0]:
             pts = np.concatenate([np.full((rest_pts.shape[0], 1), v0), rest_pts], axis=1)
-            feas = np.all(cs.face_values(pts) <= 0.0, axis=1)
+            feas = max_violation(cs, pts) == 0.0
             if not feas.any():
                 continue
             cand = pts[feas]
@@ -236,7 +235,7 @@ def feasibility_report(records, cs: ConstraintSet, reference: np.ndarray,
         raise ValueError("feasibility_report needs a nonempty batch")
     finals = np.stack([r.x1 for r in records])
     reference = np.asarray(reference, dtype=float)
-    feasible = sum(1 for r in records if max_violation(cs, r.x1) <= cs.tol)
+    feasible = int(np.count_nonzero(max_violation(cs, finals) <= cs.tol))
     moves = float(np.mean([float(np.sum(r.projection_moves)) for r in records]))
     sw2 = None
     if finals.shape[0] >= 2 and reference.shape[0] >= 2:
@@ -305,7 +304,7 @@ def rejection_sample(target, cs: ConstraintSet, n: int, rng: np.random.Generator
     needed = int(n)
     for _ in range(max_tries):
         batch = sample_target(target, max(needed * 2, 64), rng)
-        feas = np.all(cs.face_values(batch) <= 0.0, axis=1)
+        feas = max_violation(cs, batch) == 0.0
         kept = batch[feas]
         if kept.shape[0]:
             out.append(kept[:needed])

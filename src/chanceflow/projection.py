@@ -209,6 +209,6 @@ def project_decomposed(x: np.ndarray, x0: np.ndarray, t: float, cs: ConstraintSe
     if not cs.members:
         return x.copy()
     z = recover_x1(x, x0, t)
-    if float(cs.face_values(z).max()) <= 0.0:
+    if max_violation(cs, z) == 0.0:
         return x.copy()
     return interpolate(np.asarray(x0, dtype=float), project(z, cs, cfg), t)

@@ -13,7 +13,9 @@ fields feasible for their own constraint set at machine accuracy. The set
 holds two members: one LinearBand whose n_s unit rows pin every cell of
 frame 0 (the initial condition), and a mass-law member whose 2 (n_t - 1)
 faces are both sides of every later frame's balance, evaluated in one
-vectorized pass with an analytic Jacobian.
+vectorized pass with an analytic Jacobian. The batch metrics are
+rd_violation_split, the worst violation of each of the two over a batch,
+and oracles.moment_errors.
 
 Flattened state convention: x[j * n_s + i] = v(s_i, t_j), so frame 0
 occupies the first n_s entries.
@@ -29,15 +31,12 @@ import scipy.linalg
 from .constraints import ConstraintSet, LinearBand, SmoothScalar, hinge_max
 from .errors import NumericalError
 from .numerics import stream_rng
-from .oracles import moment_errors
 
 __all__ = [
     "RdGrid",
     "RdProblem",
-    "RdMetrics",
     "simulate_rd",
     "rd_constraints",
-    "rd_metrics",
     "rd_violation_split",
     "sample_rd_problem",
     "rd_dataset",
@@ -105,14 +104,6 @@ class RdProblem:
         object.__setattr__(self, "ic", ic)
         object.__setattr__(self, "g_left", float(self.g_left))
         object.__setattr__(self, "g_right", float(self.g_right))
-
-
-@dataclass(frozen=True)
-class RdMetrics:
-    mmse: float
-    smse: float
-    cv_ic: float
-    cv_cl: float
 
 
 def _diffusion_operator(grid: RdGrid, nu: float) -> np.ndarray:
@@ -223,24 +214,10 @@ def rd_constraints(problem: RdProblem) -> ConstraintSet:
     return ConstraintSet((ic_band, _mass_constraint(problem)), tol=problem.delta)
 
 
-def rd_metrics(generated, reference, cs: ConstraintSet) -> RdMetrics:
-    """Batch metrics: pointwise MSE of the mean and of the standard deviation
-    against the reference batch, plus the worst IC-band and mass-balance
-    violations across generated samples."""
-    gen = _as_batch(generated)
-    ref = _as_batch(reference)
-    if gen.shape[1] != ref.shape[1]:
-        raise ValueError(f"generated dimension {gen.shape[1]} != reference {ref.shape[1]}")
-    if gen.shape[0] < 2:
-        raise ValueError("need at least 2 generated samples for the std error")
-    mmse, smse = moment_errors(gen, ref)
-    cv_ic, cv_cl = rd_violation_split(gen, cs)
-    return RdMetrics(mmse=mmse, smse=smse, cv_ic=cv_ic, cv_cl=cv_cl)
-
-
 def rd_violation_split(finals: np.ndarray, cs: ConstraintSet) -> tuple[float, float]:
-    """Worst hinge violation over a batch of states, split into the
-    initial-condition band (cv_ic) and every other member (cv_cl)."""
+    """Worst hinge violation over a batch of states (B, d), split into the
+    initial-condition band (cv_ic) and every other member (cv_cl): the
+    CSV's cv_* columns."""
     cv_ic = 0.0
     cv_cl = 0.0
     for member in cs.members:
@@ -250,15 +227,6 @@ def rd_violation_split(finals: np.ndarray, cs: ConstraintSet) -> tuple[float, fl
         else:
             cv_cl = max(cv_cl, worst)
     return cv_ic, cv_cl
-
-
-def _as_batch(fields) -> np.ndarray:
-    arr = np.asarray(fields, dtype=float)
-    if arr.ndim == 3:
-        arr = arr.reshape(arr.shape[0], -1)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a batch of fields, got shape {arr.shape}")
-    return arr
 
 
 def sample_rd_problem(grid: RdGrid, rng: np.random.Generator, nu: float = 0.005,

@@ -216,6 +216,14 @@ def test_out_of_range_setting_exits_2_without_output(tmp_path, base, old, new):
                  "--out-dir", str(out)]) == 0
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_thread_count_below_one_exits_2_without_output(tmp_path, threads):
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, SMOKE), "--threads", threads,
+                 "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_out_of_range_coords_exit_2_without_output(tmp_path):
     # coords 5 names a coordinate the 2-D model does not have.
     text = SMOKE.replace("steps = 12", "steps = 12\nmode = pathwise")

@@ -329,6 +329,27 @@ def test_max_violation_empty_set():
     assert max_violation(ConstraintSet(()), np.array([1.0, 2.0])) == 0.0
 
 
+@pytest.mark.parametrize("name, evaluator", _batch_cases())
+@pytest.mark.parametrize("batch", [0, 1, 7, 300])
+def test_batch_max_violation_equals_one_state_values(name, evaluator, batch):
+    cs = evaluator if isinstance(evaluator, ConstraintSet) else ConstraintSet((evaluator,))
+    xs = 2.0 * stream_rng(21, 8).standard_normal((batch, cs.dim or 8))
+    got = max_violation(cs, xs)
+    assert isinstance(got, np.ndarray) and got.shape == (batch,)
+    want = np.array([max_violation(cs, x) for x in xs], dtype=float)
+    assert got.tobytes() == want.tobytes()  # bit for bit, signs of zeros included
+
+
+def test_max_violation_of_a_negative_zero_face_is_positive_zero():
+    # -x^2 is -0.0 at x = 0, and the halfspace x <= 5 is well below it there.
+    cs = ConstraintSet((SmoothScalar(1, lambda x: -x[0] ** 2, lambda x: -2.0 * x),
+                        LinearIneq(np.array([1.0]), 5.0)))
+    xs = np.array([[0.0], [1.0], [7.0]])
+    assert np.signbit(cs.face_values(xs)[0]).tolist() == [True, True]
+    assert max_violation(cs, xs).tobytes() == np.array([0.0, 0.0, 2.0]).tobytes()
+    assert math.copysign(1.0, max_violation(cs, xs[0])) == 1.0
+
+
 # --- band decomposition ------------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
-"""Smoke test: every demo runs to completion against the package, and the
-lines that show a result print as they should."""
+"""Smoke test: every demo runs to completion against the package, the
+lines that show a result print as they should, and the README's code runs."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +49,14 @@ def test_demo_runs(demo):
     lines = result.stdout.splitlines()
     for line in PINNED[demo]:
         assert line in lines
+
+
+def test_readme_python_blocks_run():
+    # Every ```python block of the README, run in turn in one namespace, so
+    # the documented API cannot drift from the code.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from chanceflow import (ConstraintSet, EmpiricalTarget, FlowModel,
-                        GaussianMixtureTarget, LinearBand, LinearIneq,
-                        SamplerConfig, Scheduler, max_violation, run_batch)
+                        GaussianMixtureTarget, LinearBand, LinearIneq, RdGrid,
+                        SamplerConfig, Scheduler, max_violation, rd_constraints,
+                        rd_dataset, run_batch)
 from chanceflow import samplers
 from chanceflow.numerics import stream_rng
 from chanceflow.samplers import (euler_step, heun_step, sample_ccfm,
@@ -342,6 +343,48 @@ def test_marginal_ccfm_batch_tightens_once_per_grid_time(monkeypatch, samples, t
         for field in ("x0", "states", "x1", "per_step_violation", "projection_moves"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert (a.refine_converged, a.final_violation) == (b.refine_converged, b.final_violation)
+
+
+@pytest.mark.parametrize("algorithm, mode", [
+    ("vanilla", "marginal"), ("repeated", "marginal"), ("eci", "marginal"),
+    ("ccfm", "marginal"), ("ccfm", "pathwise"),
+])
+def test_per_step_violations_come_from_one_call_per_record(monkeypatch, algorithm, mode):
+    # A small reaction-diffusion set: the IC band and the mass law. Marginal
+    # ccfm has no reformulation of the mass law, so it runs on the band alone.
+    grid = RdGrid(n_s=8, n_t=4, dt_phys=0.2)
+    fields, problems = rd_dataset(grid, 5, seed=3)
+    model = FlowModel(EmpiricalTarget(fields[1:]))
+    cs = rd_constraints(problems[0])
+    if (algorithm, mode) == ("ccfm", "marginal"):
+        cs = ConstraintSet(cs.members[:1], tol=cs.tol)
+    seen, refined = [], []
+    real_violation, real_refine = samplers.max_violation, samplers.final_refine
+
+    def spy_violation(cs, x):
+        seen.append(np.array(x))
+        return real_violation(cs, x)
+
+    def spy_refine(x, cs, budget):
+        refined.append(np.array(x))
+        return real_refine(x, cs, budget)
+
+    monkeypatch.setattr(samplers, "max_violation", spy_violation)
+    monkeypatch.setattr(samplers, "final_refine", spy_refine)
+    cfg = SamplerConfig(algorithm=algorithm, mode=mode, n_steps=12, seed=5, samples=3)
+    records = run_batch(model, None if algorithm == "vanilla" else cs, cfg)
+    if algorithm == "vanilla":
+        assert seen == [] and refined == []
+        for rec in records:
+            assert rec.per_step_violation.tobytes() == np.zeros(12).tobytes()
+        return
+    assert len(seen) == len(refined) == len(records)
+    for rec, stacked, last in zip(records, seen, refined):
+        # The states after each step's correction, the last one before refinement.
+        before = np.concatenate([rec.states[1:-1], last[None]])
+        assert np.array_equal(stacked, before)
+        want = np.array([max_violation(cs, x) for x in before], dtype=float)
+        assert rec.per_step_violation.tobytes() == want.tobytes()
 
 
 def test_run_batch_requires_constraints_for_constrained_algorithms():
