@@ -14,7 +14,10 @@ implements one interface:
 A LinearBand holds one row or a block of k rows whose A A^T is diagonal
 (checked exactly at construction): its faces are one row-wise dot product,
 its Jacobian is the signed rows, and its projection is the exact clip of
-every row in one pass, because orthogonal rows do not interact.
+every row in one pass, because orthogonal rows do not interact. Both linear
+kinds evaluate their faces as a_r.x * sign + offset, one product per row, and
+ConstraintSet evaluates each run of consecutive linear members as one such
+block, bitwise the concatenation of their faces.
 
 Hinge residuals, active faces and the maximum violation are all read off
 face_values. max_violation(cs, x) is batch-first too: a float for one
@@ -24,6 +27,7 @@ ConstraintSet goes through it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +52,9 @@ _PROBE_SEED = 0x5EED_CAFE  # fixed stream for construction-time gradient probes
 
 
 def _coefficients(a, ndims=(1,)) -> np.ndarray:
-    """Finite coefficients with ndim in ndims and no zero row."""
-    a = np.asarray(a, dtype=float)
+    """Finite coefficients with ndim in ndims and no zero row, contiguous so
+    that a row's dot product rounds alike alone and stacked with others."""
+    a = np.ascontiguousarray(a, dtype=float)
     if a.ndim not in ndims or a.size == 0:
         allowed = " or ".join(f"{n}-D" for n in ndims)
         raise ValueError(f"coefficients must be {allowed} and non-empty, got shape {a.shape}")
@@ -58,6 +63,20 @@ def _coefficients(a, ndims=(1,)) -> np.ndarray:
     if (np.vecdot(a, a) == 0.0).any():
         raise ValueError("coefficient vector must be nonzero")
     return a
+
+
+@dataclass(frozen=True)
+class _LinearFaces:
+    """Faces rows[row_f].x * sign_f + offset_f: exactly lo - a.x, a.x - hi or a.x - b."""
+
+    rows: np.ndarray
+    row: np.ndarray
+    sign: np.ndarray
+    offset: np.ndarray
+
+    def face_values(self, x: np.ndarray) -> np.ndarray:
+        s = np.vecdot(np.asarray(x)[..., None, :], self.rows)
+        return s[..., self.row] * self.sign + self.offset
 
 
 @dataclass(frozen=True)
@@ -72,6 +91,8 @@ class LinearIneq:
         object.__setattr__(self, "b", float(self.b))
         if np.isnan(self.b):
             raise ValueError("halfspace bound must not be NaN")
+        object.__setattr__(self, "_linear", _LinearFaces(
+            self.a[None, :], np.zeros(1, np.intp), np.ones(1), np.array([-self.b])))
 
     @property
     def dim(self):
@@ -81,7 +102,7 @@ class LinearIneq:
     has_closed_projection = True
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
-        return (np.vecdot(x, self.a) - self.b)[..., None]
+        return self._linear.face_values(x)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.a[None, :].copy()
@@ -123,13 +144,10 @@ class LinearBand:
         off_diagonal.flat[::k + 1] = 0.0
         if off_diagonal.any():
             raise ValueError("band rows must be mutually orthogonal (A A^T diagonal)")
-        jac = np.empty((2 * k, rows.shape[1]))
-        jac[0::2] = -rows
-        jac[1::2] = rows
+        offset = np.stack((lo, -hi), axis=-1).reshape(2 * k)
+        linear = _LinearFaces(rows, np.arange(2 * k) // 2, np.tile([-1.0, 1.0], k), offset)
+        jac = rows[linear.row] * linear.sign[:, None]
         jac.flags.writeable = False
-        offset = np.empty(2 * k)
-        offset[0::2] = lo
-        offset[1::2] = -hi
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "lo", float(lo) if a.ndim == 1 else lo)
         object.__setattr__(self, "hi", float(hi) if a.ndim == 1 else hi)
@@ -138,7 +156,7 @@ class LinearBand:
         object.__setattr__(self, "_hi", hi.reshape(k))
         object.__setattr__(self, "_sq", np.vecdot(rows, rows))
         object.__setattr__(self, "_jac", jac)
-        object.__setattr__(self, "_offset", offset)
+        object.__setattr__(self, "_linear", linear)
 
     @property
     def dim(self):
@@ -151,17 +169,7 @@ class LinearBand:
     has_closed_projection = True
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim == 1:
-            # One state: (-a_r).x + lo_r and a_r.x + (-hi_r) round exactly as
-            # lo_r - a_r.x and a_r.x - hi_r, because negation is exact.
-            return np.vecdot(x, self._jac) + self._offset
-        # A batch: one product per row and state, half as many dot calls.
-        s = np.vecdot(x[:, None, :], self._rows)
-        vals = np.empty((len(x), self.n_faces))
-        vals[:, 0::2] = self._lo - s
-        vals[:, 1::2] = s - self._hi
-        return vals
+        return self._linear.face_values(x)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self._jac
@@ -346,6 +354,18 @@ class ConstraintSet:
         owner, local = np.array(faces, dtype=np.intp).reshape(-1, 2).T
         object.__setattr__(self, "_face_owner", owner)
         object.__setattr__(self, "_face_local", local)
+        # face_values evaluates each run of consecutive linear members as one block.
+        parts = []
+        for linear, run in itertools.groupby(members, lambda c: hasattr(c, "_linear")):
+            blocks = [c._linear if linear else c for c in run]
+            if linear and len(blocks) > 1:
+                starts = itertools.accumulate((len(b.rows) for b in blocks), initial=0)
+                blocks = [_LinearFaces(np.concatenate([b.rows for b in blocks]),
+                                       np.concatenate([b.row + i for b, i in zip(blocks, starts)]),
+                                       np.concatenate([b.sign for b in blocks]),
+                                       np.concatenate([b.offset for b in blocks]))]
+            parts.extend(blocks)
+        object.__setattr__(self, "_parts", tuple(parts))
 
     @property
     def dim(self):
@@ -371,7 +391,7 @@ class ConstraintSet:
         x = _check_point(self, x)
         if not self.members:
             return np.empty(x.shape[:-1] + (0,))
-        vals = np.concatenate([c.face_values(x) for c in self.members], axis=-1)
+        vals = np.concatenate([p.face_values(x) for p in self._parts], axis=-1)
         if np.isnan(vals).any():
             raise NumericalError("constraint evaluation gave a NaN face value")
         return vals

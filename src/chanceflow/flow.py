@@ -12,10 +12,16 @@ no network and no training enter anywhere.
 The posterior weights are normalized by a NumPy log-sum-exp that performs
 ``scipy.special.logsumexp``'s arithmetic in the same order, without its
 array-API dispatch, so the velocity is bitwise what SciPy's would give.
+
+A mixture's terms that depend on t alone are computed once per time and kept
+read-only in the model's own bounded cache; the velocity stays bitwise the
+same. An empirical target's t a_i is not cached: it is large per time.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,11 +130,31 @@ class GaussianMixtureTarget:
         return self.means.shape[1]
 
 
+def _mixture_terms(tgt: GaussianMixtureTarget, t: float, sign: float) -> tuple:
+    """The mixture posterior's terms that depend on t alone, read-only;
+    sign = copysign(1, t) keeps -0.0 apart from 0.0 as a cache key."""
+    var = t * t * tgt.scales_sq + (1.0 - t) ** 2
+    terms = (t * tgt.means,
+             tgt.log_weights - 0.5 * tgt.dim * np.log(var),
+             2.0 * var,
+             (t * tgt.scales_sq / var)[:, None])
+    for term in terms:
+        term.flags.writeable = False
+    return terms
+
+
 @dataclass(frozen=True)
 class FlowModel:
     """Bundles a target with the exact velocity field of its linear path."""
 
     target: EmpiricalTarget | GaussianMixtureTarget
+
+    def __post_init__(self):
+        if isinstance(self.target, GaussianMixtureTarget):
+            # At most 1024 times (N steps query N to 2N) and about 4 MB of t mu_j.
+            size = max(1, min(1024, (4 << 20) // self.target.means.nbytes))
+            terms = functools.partial(_mixture_terms, self.target)
+            object.__setattr__(self, "_terms", functools.lru_cache(maxsize=size)(terms))
 
     @property
     def dim(self) -> int:
@@ -163,12 +189,12 @@ class FlowModel:
             logw = tgt.log_weights - np.einsum("ij,ij->i", diff, diff) / (2.0 * (1.0 - t) ** 2)
             w = np.exp(logw - _logsumexp(logw))
             return w @ tgt.atoms, w
-        var = t * t * tgt.scales_sq + (1.0 - t) ** 2
-        diff = x[None, :] - t * tgt.means
+        t_means, base, var2, shrink = self._terms(t, math.copysign(1.0, t))
+        diff = x[None, :] - t_means
         sq = np.einsum("ij,ij->i", diff, diff)
-        logw = tgt.log_weights - 0.5 * self.dim * np.log(var) - sq / (2.0 * var)
+        logw = base - sq / var2
         w = np.exp(logw - _logsumexp(logw))
-        cond_means = tgt.means + (t * tgt.scales_sq / var)[:, None] * diff
+        cond_means = tgt.means + shrink * diff
         return w @ cond_means, w
 
 

@@ -91,6 +91,8 @@ def _batch_cases():
         ("empty_set", ConstraintSet(())),
         ("band_block", LinearBand(disjoint_rows(a[1], (3, 5)), [-0.3, -1.0, 0.0],
                                   [0.9, 0.2, 1.5])),
+        # lo - a.x is -0.0 at x = 0, on one state as in a batch.
+        ("band_negative_zero_bound", LinearBand(np.array([1.0]), -0.0, 5.0)),
     ]
 
 
@@ -99,11 +101,51 @@ def _batch_cases():
 def test_batch_face_values_equal_stacked_rows(name, evaluator, batch):
     d = evaluator.dim or 8
     xs = 2.0 * stream_rng(21, 7).standard_normal((batch, d))
+    xs[:1] = 0.0
     got = evaluator.face_values(xs)
     assert got.shape == (batch, evaluator.n_faces)
     rows = [evaluator.face_values(x) for x in xs]
     want = np.stack(rows) if rows else np.empty((0, evaluator.n_faces))
-    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # bit for bit, signs of zeros included
+
+
+def test_negative_zero_band_bound_gives_one_zero_sign():
+    band = LinearBand(np.array([1.0]), -0.0, 5.0)
+    want = np.array([-0.0, -5.0]).tobytes()
+    assert band.face_values(np.zeros(1)).tobytes() == want
+    assert band.face_values(np.zeros((1, 1)))[0].tobytes() == want
+    assert ConstraintSet((band,)).face_values(np.zeros(1)).tobytes() == want
+
+
+def _linear_runs():
+    """Sets whose linear members form runs split by other kinds."""
+    a = stream_rng(21, 9).standard_normal((5, 8))
+    smooth = SmoothScalar(8, lambda x: float(x[0] * x[1] - 0.5),
+                          lambda x: np.array([x[1], x[0], 0, 0, 0, 0, 0, 0]))
+    ball = MinDistance(a[4], 1.5)
+    line = LinearIneq(a[0], 0.4)
+    band = LinearBand(a[1], -0.5, 0.7)
+    block = LinearBand(disjoint_rows(a[2], (2, 6)), [-1.0, -0.2, 0.0], [0.3, 0.4, 2.0])
+    return [
+        ("linear_only", (line, band, block, LinearIneq(a[3], -0.1)), 1),
+        ("split_by_ball_and_smooth", (line, band, ball, block, LinearIneq(-a[0], 0.4), smooth,
+                                      LinearIneq(a[3], 0.2)), 5),
+        ("smooth_first", (smooth, line, block), 2),
+        ("no_linear", (ball, smooth), 2),
+        ("empty", (), 0),
+    ]
+
+
+@pytest.mark.parametrize("name, members, n_parts", _linear_runs())
+def test_set_faces_are_the_concatenated_member_faces_bitwise(name, members, n_parts):
+    cs = ConstraintSet(members)
+    assert len(cs._parts) == n_parts  # each run of linear members is one block
+    xs = 2.0 * stream_rng(21, 10).standard_normal((50, 8))
+    xs[0] = 0.0
+    for x in (*xs, xs, xs[:0]):
+        faces = [c.face_values(x) for c in members] or [np.empty(x.shape[:-1] + (0,))]
+        want = np.concatenate(faces, axis=-1)
+        assert cs.face_values(x).tobytes() == want.tobytes()
 
 
 def test_one_state_face_values_keep_their_dot_product_formulas():

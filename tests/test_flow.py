@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from chanceflow import (EmpiricalTarget, FlowModel, GaussianMixtureTarget,
-                        interpolate, load_matrix, recover_x1)
+from chanceflow import (ConstraintSet, EmpiricalTarget, FlowModel,
+                        GaussianMixtureTarget, LinearIneq, SamplerConfig,
+                        interpolate, load_matrix, recover_x1, run_batch)
 from chanceflow.flow import T_CLAMP, _logsumexp
 from chanceflow.numerics import stream_rng
 
@@ -288,6 +289,78 @@ def test_velocity_is_bitwise_the_scipy_formula(model):
             assert np.array_equal(got_xhat, xhat)
             assert np.array_equal(got_w, w)
             assert np.array_equal(model.velocity(x, t), u)
+
+
+# --- per-time terms of the mixture velocity ----------------------------------
+
+
+def _same_velocity(model, x, t) -> bool:
+    xhat, w, u = _reference_posterior(model, x, t)
+    got_xhat, got_w = model.posterior_mean(x, t)
+    return (got_xhat.tobytes() == xhat.tobytes() and got_w.tobytes() == w.tobytes()
+            and model.velocity(x, t).tobytes() == u.tobytes())
+
+
+@pytest.mark.parametrize("algorithm, stepper", [
+    ("vanilla", "euler"), ("vanilla", "heun"), ("eci", "euler")])
+def test_velocity_on_sampler_grids_is_bitwise_the_formula(monkeypatch, algorithm, stepper):
+    # Heun's corrector queries t + dt, off the grid, and t = 1 on the last step.
+    model = FlowModel(GaussianMixtureTarget(_axis_modes(8, 4), 0.5))
+    calls = []
+    velocity = FlowModel.velocity
+
+    def spy(self, x, t):
+        u = velocity(self, x, t)
+        calls.append((np.array(x), t, u))
+        return u
+
+    monkeypatch.setattr(FlowModel, "velocity", spy)
+    cfg = SamplerConfig(algorithm=algorithm, stepper=stepper, n_steps=25, samples=3, seed=4)
+    run_batch(model, ConstraintSet((LinearIneq(np.eye(8)[0], 1.0),)), cfg)
+    monkeypatch.undo()
+    assert len(calls) == 3 * 25 * (2 if stepper == "heun" else 1)
+    assert (1.0 in {t for _, t, _ in calls}) == (stepper == "heun")
+    for x, t, u in calls:
+        assert u.tobytes() == _reference_posterior(model, x, t)[2].tobytes(), t
+
+
+def test_velocity_off_grid_and_at_the_clamp_is_bitwise_the_formula():
+    model = FlowModel(GaussianMixtureTarget(_axis_modes(8, 4), 0.5))
+    rng = stream_rng(13, 99)
+    times = np.concatenate((rng.uniform(0.0, 1.0, 200), [0.0, -0.0, 1.0, T_CLAMP, 1.0 - 1e-12]))
+    for t in np.concatenate((times, times[::-1])):  # the second pass reads the cache
+        assert _same_velocity(model, 2.0 * rng.standard_normal(8), float(t)), t
+    # -0.0 == 0.0 as a key, yet each keeps its own terms; 1.0 shares T_CLAMP's.
+    assert model._terms.cache_info().currsize == 200 + 3
+    assert not hasattr(FlowModel(EmpiricalTarget(np.eye(3))), "_terms")
+
+
+def test_models_never_share_cached_terms():
+    means = _axis_modes(8, 4)
+    first = FlowModel(GaussianMixtureTarget(means, 0.5))
+    second = FlowModel(GaussianMixtureTarget(means + 0.25, 0.5))
+    x = 2.0 * stream_rng(13, 100).standard_normal(8)
+    for t in (0.3, 0.3, 0.7):
+        for model in (first, second, first):
+            assert _same_velocity(model, x, t)
+    assert first._terms.cache_info().currsize == second._terms.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("means, bound", [
+    (_axis_modes(2, 1), 1024),  # at most 1024 times
+    (stream_rng(13, 101).standard_normal((64, 1024)), 8),  # 512 KiB of t mu_j per time
+], ids=["small", "large"])
+def test_term_cache_stays_within_its_bound(means, bound):
+    model = FlowModel(GaussianMixtureTarget(means, 0.5))
+    assert model._terms.cache_info().maxsize == bound
+    x = stream_rng(13, 102).standard_normal(model.dim)
+    times = np.linspace(0.0, 0.99, bound + 40)
+    for t in times:
+        model.velocity(x, t)
+    assert model._terms.cache_info().currsize == bound
+    assert _same_velocity(model, x, times[0])  # evicted, then computed again
+    terms = model._terms(0.5, 1.0)
+    assert not any(term.flags.writeable for term in terms)
 
 
 # --- dataset loading ---------------------------------------------------------

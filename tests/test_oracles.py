@@ -11,7 +11,7 @@ from chanceflow import (BruteForceConfig, ConstraintSet, EmpiricalTarget,
                         brute_force_project, feasibility_report, max_violation,
                         mc_chance, rejection_sample, sample_target, sliced_w2)
 from chanceflow.numerics import stream_rng
-from chanceflow.oracles import halfspace_qp_project
+from chanceflow.oracles import _quantiles, halfspace_qp_project
 
 
 def normal_cdf(z: float) -> float:
@@ -168,6 +168,76 @@ def test_sliced_w2_input_validation():
         sliced_w2(np.zeros((5, 2)), np.zeros((5, 3)))
     with pytest.raises(ValueError):
         sliced_w2(np.zeros(5), np.zeros(5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", [0, 1])
+def test_sliced_w2_rejects_non_finite_batches(bad, which):
+    batches = [stream_rng(19, 4).standard_normal((6, 3)), stream_rng(19, 5).standard_normal((9, 3))]
+    batches[which][2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sliced_w2(*batches)
+
+
+def _levels(m):
+    return (np.arange(m) + 0.5) / m
+
+
+def test_sorted_quantiles_are_bitwise_np_quantile():
+    rng = stream_rng(19, 6)
+    for trial in range(150):
+        n = 2 if trial % 10 == 0 else int(rng.integers(2, 701))
+        p = rng.uniform(0.1, 10.0) * rng.standard_normal((n, int(rng.integers(1, 131))))
+        if trial % 3 == 1:  # many ties; adding +0.0 turns any -0.0 into +0.0
+            p = np.round(p, 1) + 0.0
+        if trial % 4 == 2:
+            p[:, 0] = 3.0
+        levels = _levels(max(n, int(rng.integers(2, 701))))
+        if trial % 5 == 3:  # arbitrary levels in [0, 1)
+            levels = np.sort(np.concatenate((rng.uniform(0.0, 1.0, 40), [0.0, 1.0 - 2.0**-53])))
+        want = np.quantile(p, levels, axis=0)
+        assert _quantiles(p, levels).tobytes() == want.tobytes(), (trial, n)
+
+
+def _np_quantile_sliced_w2(a, b, n_projections, rng):
+    """sliced_w2 as written with np.quantile, the reference it must match."""
+    dirs = rng.standard_normal((n_projections, a.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    levels = _levels(max(len(a), len(b)))
+    qa = np.quantile(a @ dirs.T, levels, axis=0)
+    qb = np.quantile(b @ dirs.T, levels, axis=0)
+    return float(np.sqrt(a.shape[1] * np.mean(np.mean((qa - qb) ** 2, axis=0))))
+
+
+def test_signed_zeros_flip_only_the_sign_of_a_zero_quantile():
+    # Sort and partition may order tied -0.0 and +0.0 differently.
+    rng = stream_rng(19, 8)
+    flipped = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 300))
+        p = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(n, 5))
+        levels = _levels(max(n, int(rng.integers(2, 300))))
+        got, want = _quantiles(p, levels), np.quantile(p, levels, axis=0)
+        differ = got.view(np.uint64) != want.view(np.uint64)
+        assert np.array_equal(got, want) and (got[differ] == 0.0).all()
+        flipped += differ.any()
+    assert flipped  # the case is real, not hypothetical
+
+
+def test_sliced_w2_equals_the_np_quantile_reference_with_signed_zeros():
+    rng = stream_rng(19, 7)
+    for trial in range(40):
+        n_a, n_b = (int(v) for v in rng.integers(2, 90, 2))
+        if n_a == n_b:
+            n_b += 1
+        a = rng.choice([-0.0, 0.0, 1.5, -2.0], size=(n_a, 1 + trial % 3))
+        shape = (n_b, a.shape[1])
+        b = np.where(rng.random(shape) < 0.5, -0.0, rng.standard_normal(shape))
+        b[: n_b // 3] = 0.0
+        got = sliced_w2(a, b, n_projections=16, rng=stream_rng(19, 100 + trial))
+        want = _np_quantile_sliced_w2(a, b, 16, stream_rng(19, 100 + trial))
+        assert math.copysign(1.0, got) == 1.0
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), trial
 
 
 # --- feasibility_report ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -317,6 +318,30 @@ def test_run_batch_is_thread_count_invariant():
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.projection_moves, b.projection_moves)
+
+
+@pytest.mark.parametrize("algorithm, stepper", [
+    ("ccfm", "euler"), ("repeated", "heun"), ("eci", "euler")])
+def test_threads_filling_one_velocity_cache_match_one_thread_bytes(algorithm, stepper):
+    # Each side starts from a fresh model, so the threads fill its per-time
+    # velocity cache concurrently; a short switch interval interleaves them.
+    def fresh_model():
+        return FlowModel(GaussianMixtureTarget(TWO_MODE.target.means, TWO_MODE.target.scales))
+
+    cs = ConstraintSet((LinearIneq(np.array([1.0, 0.0]), 0.0),
+                        LinearBand(np.array([0.0, 1.0]), -1.0, 1.0)))
+    cfg = SamplerConfig(algorithm=algorithm, stepper=stepper, n_steps=30, seed=8, samples=8)
+    serial = run_batch(fresh_model(), cs, cfg, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run_batch(fresh_model(), cs, cfg, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(parallel) == 8
+    for a, b in zip(serial, parallel):
+        for field in ("states", "x1", "per_step_violation", "projection_moves"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
 
 @pytest.mark.parametrize("samples, threads", [(1, 1), (5, 1), (5, 3)])
