@@ -52,8 +52,7 @@ _PROBE_SEED = 0x5EED_CAFE  # fixed stream for construction-time gradient probes
 
 
 def _coefficients(a, ndims=(1,)) -> np.ndarray:
-    """Finite coefficients with ndim in ndims and no zero row, contiguous so
-    that a row's dot product rounds alike alone and stacked with others."""
+    """Finite coefficients with ndim in ndims, no zero row, contiguous like stacked rows."""
     a = np.ascontiguousarray(a, dtype=float)
     if a.ndim not in ndims or a.size == 0:
         allowed = " or ".join(f"{n}-D" for n in ndims)
@@ -144,9 +143,11 @@ class LinearBand:
         off_diagonal.flat[::k + 1] = 0.0
         if off_diagonal.any():
             raise ValueError("band rows must be mutually orthogonal (A A^T diagonal)")
-        offset = np.stack((lo, -hi), axis=-1).reshape(2 * k)
-        linear = _LinearFaces(rows, np.arange(2 * k) // 2, np.tile([-1.0, 1.0], k), offset)
-        jac = rows[linear.row] * linear.sign[:, None]
+        offset = np.array([lo, -hi]).T.reshape(2 * k)
+        linear = _LinearFaces(rows, np.arange(2 * k) // 2, np.array([-1.0, 1.0] * k), offset)
+        jac = np.empty((2 * k, rows.shape[1]))
+        jac[0::2] = -rows
+        jac[1::2] = rows
         jac.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "lo", float(lo) if a.ndim == 1 else lo)

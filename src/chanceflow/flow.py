@@ -131,8 +131,7 @@ class GaussianMixtureTarget:
 
 
 def _mixture_terms(tgt: GaussianMixtureTarget, t: float, sign: float) -> tuple:
-    """The mixture posterior's terms that depend on t alone, read-only;
-    sign = copysign(1, t) keeps -0.0 apart from 0.0 as a cache key."""
+    """Read-only terms that depend on t alone; sign = copysign(1, t) keys -0.0 apart from 0.0."""
     var = t * t * tgt.scales_sq + (1.0 - t) ** 2
     terms = (t * tgt.means,
              tgt.log_weights - 0.5 * tgt.dim * np.log(var),
