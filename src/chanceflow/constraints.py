@@ -14,10 +14,7 @@ implements one interface:
 A LinearBand holds one row or a block of k rows whose A A^T is diagonal
 (checked exactly at construction): its faces are one row-wise dot product,
 its Jacobian is the signed rows, and its projection is the exact clip of
-every row in one pass, because orthogonal rows do not interact. Both linear
-kinds evaluate their faces as a_r.x * sign + offset, one product per row, and
-ConstraintSet evaluates each run of consecutive linear members as one such
-block, bitwise the concatenation of their faces.
+every row in one pass, because orthogonal rows do not interact.
 
 Hinge residuals, active faces and the maximum violation are all read off
 face_values. max_violation(cs, x) is batch-first too: a float for one
@@ -27,7 +24,6 @@ ConstraintSet goes through it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +48,8 @@ _PROBE_SEED = 0x5EED_CAFE  # fixed stream for construction-time gradient probes
 
 
 def _coefficients(a, ndims=(1,)) -> np.ndarray:
-    """Finite coefficients with ndim in ndims, no zero row, contiguous like stacked rows."""
-    a = np.ascontiguousarray(a, dtype=float)
+    """Finite coefficients with ndim in ndims and no zero row."""
+    a = np.asarray(a, dtype=float)
     if a.ndim not in ndims or a.size == 0:
         allowed = " or ".join(f"{n}-D" for n in ndims)
         raise ValueError(f"coefficients must be {allowed} and non-empty, got shape {a.shape}")
@@ -62,20 +58,6 @@ def _coefficients(a, ndims=(1,)) -> np.ndarray:
     if (np.vecdot(a, a) == 0.0).any():
         raise ValueError("coefficient vector must be nonzero")
     return a
-
-
-@dataclass(frozen=True)
-class _LinearFaces:
-    """Faces rows[row_f].x * sign_f + offset_f: exactly lo - a.x, a.x - hi or a.x - b."""
-
-    rows: np.ndarray
-    row: np.ndarray
-    sign: np.ndarray
-    offset: np.ndarray
-
-    def face_values(self, x: np.ndarray) -> np.ndarray:
-        s = np.vecdot(np.asarray(x)[..., None, :], self.rows)
-        return s[..., self.row] * self.sign + self.offset
 
 
 @dataclass(frozen=True)
@@ -90,8 +72,6 @@ class LinearIneq:
         object.__setattr__(self, "b", float(self.b))
         if np.isnan(self.b):
             raise ValueError("halfspace bound must not be NaN")
-        object.__setattr__(self, "_linear", _LinearFaces(
-            self.a[None, :], np.zeros(1, np.intp), np.ones(1), np.array([-self.b])))
 
     @property
     def dim(self):
@@ -101,7 +81,7 @@ class LinearIneq:
     has_closed_projection = True
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
-        return self._linear.face_values(x)
+        return (np.vecdot(x, self.a) - self.b)[..., None]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.a[None, :].copy()
@@ -131,7 +111,7 @@ class LinearBand:
         a = _coefficients(self.a, ndims=(1, 2))
         rows = a.reshape(-1, a.shape[-1])
         k = rows.shape[0]
-        lo = np.asarray(self.lo, dtype=float)
+        lo = np.asarray(self.lo, dtype=float) + 0.0  # a -0.0 bound becomes 0.0
         hi = np.asarray(self.hi, dtype=float)
         shape = () if a.ndim == 1 else (k,)
         if lo.shape != shape or hi.shape != shape:
@@ -143,12 +123,13 @@ class LinearBand:
         off_diagonal.flat[::k + 1] = 0.0
         if off_diagonal.any():
             raise ValueError("band rows must be mutually orthogonal (A A^T diagonal)")
-        offset = np.array([lo, -hi]).T.reshape(2 * k)
-        linear = _LinearFaces(rows, np.arange(2 * k) // 2, np.array([-1.0, 1.0] * k), offset)
         jac = np.empty((2 * k, rows.shape[1]))
         jac[0::2] = -rows
         jac[1::2] = rows
         jac.flags.writeable = False
+        offset = np.empty(2 * k)
+        offset[0::2] = lo
+        offset[1::2] = -hi
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "lo", float(lo) if a.ndim == 1 else lo)
         object.__setattr__(self, "hi", float(hi) if a.ndim == 1 else hi)
@@ -157,7 +138,7 @@ class LinearBand:
         object.__setattr__(self, "_hi", hi.reshape(k))
         object.__setattr__(self, "_sq", np.vecdot(rows, rows))
         object.__setattr__(self, "_jac", jac)
-        object.__setattr__(self, "_linear", linear)
+        object.__setattr__(self, "_offset", offset)
 
     @property
     def dim(self):
@@ -170,7 +151,19 @@ class LinearBand:
     has_closed_projection = True
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
-        return self._linear.face_values(x)
+        x = np.asarray(x)
+        if x.ndim == 1:
+            # One state: (-a_r).x + lo_r and a_r.x + (-hi_r) round exactly as
+            # lo_r - a_r.x and a_r.x - hi_r, because negation is exact. A zero
+            # (-a_r).x may be +0.0 where -(a_r.x) is -0.0; with lo_r never
+            # -0.0 both sums still give the same zero.
+            return np.vecdot(x, self._jac) + self._offset
+        # A batch: one product per row and state, half as many dot calls.
+        s = np.vecdot(x[:, None, :], self._rows)
+        vals = np.empty((len(x), self.n_faces))
+        vals[:, 0::2] = self._lo - s
+        vals[:, 1::2] = s - self._hi
+        return vals
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self._jac
@@ -355,18 +348,6 @@ class ConstraintSet:
         owner, local = np.array(faces, dtype=np.intp).reshape(-1, 2).T
         object.__setattr__(self, "_face_owner", owner)
         object.__setattr__(self, "_face_local", local)
-        # face_values evaluates each run of consecutive linear members as one block.
-        parts = []
-        for linear, run in itertools.groupby(members, lambda c: hasattr(c, "_linear")):
-            blocks = [c._linear if linear else c for c in run]
-            if linear and len(blocks) > 1:
-                starts = itertools.accumulate((len(b.rows) for b in blocks), initial=0)
-                blocks = [_LinearFaces(np.concatenate([b.rows for b in blocks]),
-                                       np.concatenate([b.row + i for b, i in zip(blocks, starts)]),
-                                       np.concatenate([b.sign for b in blocks]),
-                                       np.concatenate([b.offset for b in blocks]))]
-            parts.extend(blocks)
-        object.__setattr__(self, "_parts", tuple(parts))
 
     @property
     def dim(self):
@@ -392,7 +373,7 @@ class ConstraintSet:
         x = _check_point(self, x)
         if not self.members:
             return np.empty(x.shape[:-1] + (0,))
-        vals = np.concatenate([p.face_values(x) for p in self._parts], axis=-1)
+        vals = np.concatenate([c.face_values(x) for c in self.members], axis=-1)
         if np.isnan(vals).any():
             raise NumericalError("constraint evaluation gave a NaN face value")
         return vals
