@@ -357,8 +357,9 @@ def test_c09_reaction_diffusion_is_self_consistent():
 
 
 def test_c10_shipped_configs_are_deterministic(tmp_path):
-    # Each CSV must also match its golden copy in tests/golden, so a change
-    # meant to be bitwise (a faster path to the same numbers) is checked here.
+    # Each CSV and SVG must also match its golden copy in tests/golden, so a
+    # change meant to be bitwise (a faster path to the same numbers) is
+    # checked here.
     started = time.perf_counter()
     for name in ("benchmark_2d", "early_freedom", "rd_ccfm"):
         outputs = []
@@ -368,7 +369,10 @@ def test_c10_shipped_configs_are_deterministic(tmp_path):
                                   threads=threads) == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outputs[0] == outputs[1]
-        assert outputs[0][f"{name}.csv"] == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+        golden = {p.name: p.read_bytes() for p in GOLDEN_DIR.glob(f"{name}*")}
+        assert sorted(outputs[0]) == sorted(golden)
+        for file_name, data in outputs[0].items():
+            assert data == golden[file_name], file_name
     elapsed = time.perf_counter() - started
     print(f"criterion 10 PASS: 3 configs byte-identical across reruns and "
-          f"thread counts, and to their golden CSVs, {elapsed:.1f}s")
+          f"thread counts, and to their golden CSVs and SVGs, {elapsed:.1f}s")
