@@ -14,7 +14,9 @@ implements one interface:
 A LinearBand holds one row or a block of k rows whose A A^T is diagonal
 (checked exactly at construction): its faces are one row-wise dot product,
 its Jacobian is the signed rows, and its projection is the exact clip of
-every row in one pass, because orthogonal rows do not interact.
+every row in one pass, because orthogonal rows do not interact. By the same
+exact check, ConstraintSet.orthogonal holds when every member is closed-form
+and all their rows (LinearIneq.a, the band rows) are mutually orthogonal.
 
 Hinge residuals, active faces and the maximum violation are all read off
 face_values. max_violation(cs, x) is batch-first too: a float for one
@@ -58,6 +60,11 @@ def _coefficients(a, ndims=(1,)) -> np.ndarray:
     if (np.vecdot(a, a) == 0.0).any():
         raise ValueError("coefficient vector must be nonzero")
     return a
+
+
+def _orthogonal(rows: np.ndarray) -> bool:
+    """Whether A A^T is exactly diagonal: r_i.r_j == 0.0 for all rows i != j."""
+    return not (rows @ rows.T)[~np.eye(len(rows), dtype=bool)].any()
 
 
 @dataclass(frozen=True)
@@ -119,9 +126,7 @@ class LinearBand:
                              f"shape {a.shape}, got {lo.shape} and {hi.shape}")
         if not (lo <= hi).all():
             raise ValueError(f"band requires lo <= hi, got [{self.lo}, {self.hi}]")
-        off_diagonal = rows @ rows.T
-        off_diagonal.flat[::k + 1] = 0.0
-        if off_diagonal.any():
+        if not _orthogonal(rows):
             raise ValueError("band rows must be mutually orthogonal (A A^T diagonal)")
         jac = np.empty((2 * k, rows.shape[1]))
         jac[0::2] = -rows
@@ -329,6 +334,7 @@ class ConstraintSet:
 
     members: tuple
     tol: float = 1e-8
+    orthogonal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -348,6 +354,8 @@ class ConstraintSet:
         owner, local = np.array(faces, dtype=np.intp).reshape(-1, 2).T
         object.__setattr__(self, "_face_owner", owner)
         object.__setattr__(self, "_face_local", local)
+        object.__setattr__(self, "orthogonal", self.all_closed_form and (
+            not members or _orthogonal(np.concatenate([np.atleast_2d(c.a) for c in members]))))
 
     @property
     def dim(self):

@@ -1,10 +1,11 @@
 """Euclidean projection operators.
 
-Single halfspaces and slabs project in closed form. Intersections of such
-sets go through cyclic projections with Dykstra corrections (plain cyclic
-projection finds a feasible point but not the nearest one; the correction
-vectors make the limit the true Euclidean projection). General constraint
-sets use a ridge-regularized Gauss-Newton active-set iteration,
+Single halfspaces and slabs project in closed form; an intersection of them
+with mutually orthogonal rows takes one pass of those clips, as none moves
+another member's faces. Other intersections go through cyclic projections
+with Dykstra corrections (plain cyclic projection finds a feasible point,
+the corrections make its limit the nearest one). General constraint sets
+use a ridge-regularized Gauss-Newton active-set iteration,
 
     x <- x - J^T (J J^T + lambda I)^{-1} r,
 
@@ -12,9 +13,9 @@ with hinge residuals r and the active-face Jacobian J recomputed every
 iteration; the same iteration with a fixed budget serves as the strict
 terminal refinement.
 
-project(x, cs, gn) is the one place that chooses among them. Clean,
-tightened and transported sets are all ConstraintSets, so every per-step
-correction of every sampler goes through it.
+project(x, cs, gn) is the one place that chooses among these three routes,
+from the set alone. Clean, tightened and transported sets are all
+ConstraintSets, so every per-step correction of every sampler goes through it.
 """
 
 from __future__ import annotations
@@ -78,15 +79,16 @@ class ProjectionReport:
 def project(x: np.ndarray, cs: ConstraintSet, gn: GnConfig = GnConfig()) -> np.ndarray:
     """Projection onto cs, by the cheapest exact route it admits.
 
-    An empty set returns x; a single closed-form member projects in closed
-    form; an intersection of closed-form members goes through Dykstra's
-    cyclic projection; any other set takes the configured Gauss-Newton pass.
+    An orthogonal set (cs.orthogonal, as any set of at most one closed-form
+    member is) takes one pass of its members' closed forms in declaration
+    order; other closed-form sets go through Dykstra's cyclic projection;
+    any other set takes the configured Gauss-Newton pass.
     """
-    if not cs.members:
+    if cs.orthogonal:
+        for member in cs.members:
+            x = member.project(x)
         return x
     if cs.all_closed_form:
-        if len(cs.members) == 1:
-            return cs.members[0].project(x)
         return project_pocs(x, cs, _POCS_CYCLES).x_out
     return gauss_newton_project(x, cs, gn).x_out
 
