@@ -94,18 +94,24 @@ class SampleRecord:
     per_step_violation[k] is the clean-set max violation of the state after
     step k's correction, the last one taken before final refinement (zeros
     for unconstrained runs); projection_moves[k]
-    is the Euclidean length of step k's correction. states[0] is x0 and
-    states[-1] is the terminal x1 after final refinement.
+    is the Euclidean length of step k's correction. x0 reads states[0] and
+    x1 reads states[-1], the terminal state after final refinement.
     """
 
-    x0: np.ndarray
     states: np.ndarray
-    x1: np.ndarray
     per_step_violation: np.ndarray
     projection_moves: np.ndarray
     wall_time: float
     refine_converged: bool = True
     final_violation: float = 0.0
+
+    @property
+    def x0(self) -> np.ndarray:
+        return self.states[0]
+
+    @property
+    def x1(self) -> np.ndarray:
+        return self.states[-1]
 
 
 def euler_step(model: FlowModel, x: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -201,9 +207,7 @@ def _sample(model: FlowModel, cs: ConstraintSet | None, cfg: SamplerConfig,
         converged = report.converged
         final_viol = report.final_max_violation
     return SampleRecord(
-        x0=x0,
         states=states,
-        x1=states[-1],
         per_step_violation=viols,
         projection_moves=moves,
         wall_time=time.perf_counter() - started,

@@ -424,9 +424,8 @@ def fake_record(states, violations=None):
     states = np.asarray(states, dtype=float)
     n = states.shape[0] - 1
     viol = np.zeros(n) if violations is None else np.asarray(violations, dtype=float)
-    return SampleRecord(x0=states[0], states=states, x1=states[-1],
-                        per_step_violation=viol, projection_moves=np.zeros(n),
-                        wall_time=0.0)
+    return SampleRecord(states=states, per_step_violation=viol,
+                        projection_moves=np.zeros(n), wall_time=0.0)
 
 
 def test_trajectory_svg_polyline_has_one_vertex_per_state(tmp_path):

@@ -245,8 +245,7 @@ def test_sliced_w2_equals_the_np_quantile_reference_with_signed_zeros():
 
 def fake_record(x1, moves):
     x1 = np.asarray(x1, dtype=float)
-    return SampleRecord(x0=np.zeros_like(x1), states=np.stack([np.zeros_like(x1), x1]),
-                        x1=x1, per_step_violation=np.zeros(1),
+    return SampleRecord(states=np.stack([np.zeros_like(x1), x1]), per_step_violation=np.zeros(1),
                         projection_moves=np.asarray(moves, dtype=float), wall_time=0.0)
 
 
