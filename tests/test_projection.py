@@ -9,6 +9,7 @@ from chanceflow import (ConstraintSet, GnConfig, LinearBand, LinearIneq,
                         final_refine, gauss_newton_project, interpolate,
                         max_violation, project, project_decomposed,
                         project_pocs, recover_x1, transport_set)
+from chanceflow import projection as projection_module
 from chanceflow.chance import tighten_linear
 from chanceflow.oracles import halfspace_qp_project
 from chanceflow.numerics import stream_rng
@@ -74,6 +75,11 @@ _HALF = LinearIneq(np.array([1.0, 0.5, 0.0]), 0.2)
 _BAND = LinearBand(np.array([0.0, 1.0, -1.0]), -0.3, 0.4)
 _RING = MinDistance(np.array([0.5, 0.0, 1.0]), 0.6)
 _SMOOTH = SmoothScalar(3, lambda x: float(x @ x) - 1.0, lambda x: 2.0 * x)
+# Rows exactly orthogonal to _HALF's (1, 0.5, 0), and a block of two rows
+# orthogonal to each other and to the halfspace after them.
+_HALF_BAND = LinearBand(np.array([-1.0, 2.0, 0.0]), -0.3, 0.4)
+_BLOCK = LinearBand(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]),
+                    np.array([-0.5, 0.0]), np.array([0.5, 1.5]))
 
 
 @pytest.mark.parametrize("members, route", [
@@ -84,9 +90,12 @@ _SMOOTH = SmoothScalar(3, lambda x: float(x @ x) - 1.0, lambda x: 2.0 * x)
     ((_HALF, _BAND, LinearIneq(np.array([0.0, 0.0, 1.0]), -0.1)), "pocs"),
     ((_RING,), "gauss_newton"),
     ((_HALF, _SMOOTH), "gauss_newton"),
+    ((_HALF, _HALF_BAND), "one_pass"),
+    ((_BLOCK, LinearIneq(np.array([0.0, 0.0, 1.0]), -0.1)), "one_pass"),
 ])
 def test_project_dispatch(members, route):
     cs = ConstraintSet(members, tol=1e-9)
+    assert cs.orthogonal == (route in ("identity", "closed_form", "one_pass"))
     gn = GnConfig(max_iters=3)
     rng = stream_rng(41, 6)
     for _ in range(20):
@@ -96,11 +105,101 @@ def test_project_dispatch(members, route):
             want = x
         elif route == "closed_form":
             want = members[0].project(x)
+        elif route == "one_pass":
+            want = members[1].project(members[0].project(x))
         elif route == "pocs":
             want = project_pocs(x, cs).x_out
         else:
             want = gauss_newton_project(x, cs, gn).x_out
         assert np.array_equal(got, want)
+
+
+# --- one pass over mutually orthogonal rows ----------------------------------------
+
+
+_ROW_BASES = {
+    "axes": np.eye(4),
+    "hadamard": np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+                          [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]),
+    "integer": np.array([[1.0, 2.0, 0.0, 0.0], [-2.0, 1.0, 0.0, 0.0],
+                         [0.0, 0.0, 3.0, 1.0], [0.0, 0.0, -1.0, 3.0]]),
+}
+
+
+def _orthogonal_set(rng, basis):
+    """A random set on 1-4 rows of an exactly orthogonal basis of R^4, and
+    the same set as halfspaces (a band is two). The rows are signed, scaled
+    by small integers or 0.5 and permuted, all exactly, and grouped into
+    halfspaces, one-row bands and band blocks."""
+    rows = _ROW_BASES[basis][rng.permutation(4)][:, rng.permutation(4)]
+    rows = rows * rng.choice([-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0], size=(4, 1))
+    rows = rows[:rng.integers(1, 5)]
+    members, halfspaces = [], []
+    while len(rows):
+        k = int(rng.integers(1, len(rows) + 1))
+        block, rows = rows[:k], rows[k:]
+        center, width = rng.uniform(-1.0, 1.0, k), rng.uniform(0.05, 1.5, k)
+        lo, hi = center - width, center + width
+        if k == 1 and rng.random() < 0.5:
+            members.append(LinearIneq(block[0], hi[0]))
+            halfspaces.append(members[-1])
+            continue
+        members.append(LinearBand(block, lo, hi) if k > 1 else LinearBand(block[0], lo[0], hi[0]))
+        for a, lo_r, hi_r in zip(block, lo, hi):
+            halfspaces += [LinearIneq(-a, -lo_r), LinearIneq(a, hi_r)]
+    return ConstraintSet(tuple(members), tol=1e-10), halfspaces
+
+
+@pytest.mark.parametrize("basis", sorted(_ROW_BASES))
+def test_one_pass_on_orthogonal_rows_is_the_qp_projection(basis):
+    rng = stream_rng(43, sorted(_ROW_BASES).index(basis))
+    inside = outside = 0
+    for _ in range(40):
+        cs, halfspaces = _orthogonal_set(rng, basis)
+        assert cs.orthogonal
+        for scale in (0.1, 3.0):
+            x = scale * rng.standard_normal(4)
+            got = project(x, cs)
+            if max_violation(cs, x) == 0.0:
+                inside += 1
+                assert np.array_equal(got, x)
+            else:
+                outside += 1
+            want = halfspace_qp_project(x, halfspaces)
+            assert np.linalg.norm(got - want) <= 1e-9 * (1.0 + np.linalg.norm(x))
+    assert inside >= 5 and outside >= 40
+
+
+def test_member_order_changes_the_one_pass_only_within_rounding():
+    rng = stream_rng(43, 5)
+    for trial in range(60):
+        cs, _ = _orthogonal_set(rng, sorted(_ROW_BASES)[trial % 3])
+        shuffled = ConstraintSet(tuple(cs.members[i] for i in rng.permutation(len(cs.members))),
+                                 tol=cs.tol)
+        assert shuffled.orthogonal
+        x = 3.0 * rng.standard_normal(4)
+        assert np.allclose(project(x, shuffled), project(x, cs),
+                           rtol=0.0, atol=1e-14 * (1.0 + np.linalg.norm(x)))
+
+
+def test_rows_orthogonal_only_to_rounding_go_to_dykstra(monkeypatch):
+    # Rows from a QR factorization are orthogonal only up to rounding, and
+    # e3 + 2^-40 e1 misses e1 by one Gram entry: both sets take Dykstra.
+    rotated = np.linalg.qr(stream_rng(43, 6).standard_normal((3, 3)))[0]
+    nearly = np.eye(3) + np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0 ** -40, 0.0, 0.0]])
+    calls = []
+    dykstra = projection_module.project_pocs
+    monkeypatch.setattr(projection_module, "project_pocs",
+                        lambda *args: calls.append(args) or dykstra(*args))
+    for rows in (rotated, nearly):
+        assert (rows @ rows.T)[~np.eye(3, dtype=bool)].any()
+        cs = ConstraintSet(tuple(LinearIneq(r, -0.1) for r in rows), tol=1e-10)
+        assert not cs.orthogonal
+        x = np.array([1.0, 2.0, 3.0])
+        calls.clear()
+        got = project(x, cs)
+        assert len(calls) == 1
+        assert np.array_equal(got, dykstra(x, cs).x_out)
 
 
 # --- cyclic projections ---------------------------------------------------------

@@ -427,3 +427,19 @@ def test_sampler_config_validation():
         SamplerConfig(n_steps=0)
     with pytest.raises(ValueError):
         SamplerConfig(eci_events=-1)
+
+
+def test_every_marginal_set_of_the_mix8_constraints_is_orthogonal():
+    # The constraints of perfbench/configs/mix8_threads.cfg: x0 <= 1,
+    # -1 <= x1 <= 3 and (x2 + x3)^2 <= 4, which a config reads as the band
+    # |x2 + x3| <= 2. Every tightened set keeps a subset of these rows, so
+    # each of the 100 per-step projections takes the one exact pass.
+    e = np.eye(8)
+    cs = ConstraintSet((LinearIneq(e[0], 1.0), LinearBand(e[1], -1.0, 3.0),
+                        LinearBand(e[2] + e[3], -2.0, 2.0)), tol=1e-8)
+    cfg = SamplerConfig(algorithm="ccfm", n_steps=100, scheduler=Scheduler(0.5))
+    schedule = samplers._marginal_schedule(cs, cfg)
+    assert cs.orthogonal
+    assert len(schedule) == 100
+    assert all(tightened.orthogonal for tightened in schedule)
+    assert max(len(tightened.members) for tightened in schedule) == 3
