@@ -186,7 +186,8 @@ def test_rows_orthogonal_only_to_rounding_go_to_dykstra(monkeypatch):
     # Rows from a QR factorization are orthogonal only up to rounding, and
     # e3 + 2^-40 e1 misses e1 by one Gram entry: both sets take Dykstra.
     rotated = np.linalg.qr(stream_rng(43, 6).standard_normal((3, 3)))[0]
-    nearly = np.eye(3) + np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0 ** -40, 0.0, 0.0]])
+    nearly = np.eye(3)
+    nearly[2, 0] = 2.0 ** -40
     calls = []
     dykstra = projection_module.project_pocs
     monkeypatch.setattr(projection_module, "project_pocs",
