@@ -400,9 +400,9 @@ def _check_point(cs: ConstraintSet, x) -> np.ndarray:
     return x
 
 
-def jacobian_active(cs: ConstraintSet, x, active: list[int]) -> np.ndarray:
-    """Gradient rows of the listed faces, one row per active face, in the
-    listed order.
+def jacobian_active(cs: ConstraintSet, x, active) -> np.ndarray:
+    """Gradient rows of the listed faces (a sequence or an index array), one
+    row per active face, in the listed order.
 
     Each member owning an active face has its Jacobian evaluated once, and
     all of its active rows are gathered from it with one index.

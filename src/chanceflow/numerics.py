@@ -1,8 +1,11 @@
 """Low-level numerical kernels: normal quantiles, seeded RNG streams, SPD solves.
 
-Everything downstream (constraint tightening, projections, samplers) routes its
-probability and linear-algebra needs through this module so that accuracy and
-determinism are pinned in exactly one place.
+Everything downstream (constraint tightening, projections, samplers, the
+reaction-diffusion simulator) routes its probability and linear-algebra needs
+through this module so that accuracy and determinism are pinned in exactly one
+place. Cholesky factors and solves call LAPACK dpotrf/dpotrs directly, with
+the flags scipy.linalg.cho_factor/cho_solve pass (upper triangle, factor not
+cleaned), so they give the same bytes without SciPy's array-API wrappers.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericalError
 
@@ -91,11 +94,28 @@ def stream_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=[seed, stream_id])))
 
 
+def _cho_factor(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of SPD a, bitwise scipy.linalg.cho_factor(a)[0]
+    (LAPACK dpotrf; the strict lower triangle keeps a's entries). Raises
+    NumericalError if a is not positive definite."""
+    factor, info = dpotrf(a, lower=False, clean=False)
+    if info > 0:
+        raise NumericalError(f"matrix is not positive definite (leading minor {info})")
+    return factor
+
+
+def _cho_solve(factor: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve A y = r from _cho_factor(A), bitwise scipy.linalg.cho_solve
+    (LAPACK dpotrs). Entries of r are not checked for finiteness."""
+    return dpotrs(factor, r, lower=False)[0]
+
+
 def solve_spd(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve A y = r for symmetric positive definite A.
 
-    Cholesky factorization followed by iterative refinement with
-    extended-precision residuals; the result satisfies
+    Cholesky factorization (LAPACK potrf/potrs with SciPy's flags, so the
+    bytes of scipy.linalg.cho_factor/cho_solve) followed by iterative
+    refinement with extended-precision residuals; the result satisfies
     ``norm(A @ y - r) <= 1e-10 * (1 + norm(r))`` for condition numbers up to
     ~1e6. Raises NumericalError if A is not SPD, contains non-finite entries,
     or the residual contract cannot be met.
@@ -108,11 +128,10 @@ def solve_spd(a: np.ndarray, r: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs shape {r.shape} does not match matrix {a.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(r))):
         raise NumericalError("solve_spd: non-finite entries in the system")
-    try:
-        factor = scipy.linalg.cho_factor(a, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"solve_spd: matrix is not positive definite ({exc})") from exc
-    y = scipy.linalg.cho_solve(factor, r, check_finite=False)
+    if not r.size:
+        return r.copy()
+    factor = _cho_factor(a)
+    y = _cho_solve(factor, r)
     tol = 1e-10 * (1.0 + float(np.linalg.norm(r)))
     a_ext = np.asarray(a, dtype=np.longdouble)
     r_ext = np.asarray(r, dtype=np.longdouble)
@@ -120,7 +139,7 @@ def solve_spd(a: np.ndarray, r: np.ndarray) -> np.ndarray:
         resid = r_ext - a_ext @ np.asarray(y, dtype=np.longdouble)
         if float(np.linalg.norm(np.asarray(resid, dtype=float))) <= tol:
             return y
-        y = y + scipy.linalg.cho_solve(factor, np.asarray(resid, dtype=float), check_finite=False)
+        y = y + _cho_solve(factor, np.asarray(resid, dtype=float))
     resid = np.asarray(r_ext - a_ext @ np.asarray(y, dtype=np.longdouble), dtype=float)
     if float(np.linalg.norm(resid)) > tol:
         raise NumericalError("solve_spd: residual contract not met (system too ill-conditioned)")

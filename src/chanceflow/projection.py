@@ -153,7 +153,7 @@ def gauss_newton_project(x: np.ndarray, cs: ConstraintSet,
             return ProjectionReport(x, iterations, viol, True, tuple(history))
         if iterations >= cfg.max_iters:
             return ProjectionReport(x, iterations, viol, False, tuple(history))
-        active = [int(i) for i in np.nonzero(vals > 0.0)[0]]
+        active = np.flatnonzero(vals > 0.0)
         try:
             jac = jacobian_active(cs, x, active)
         except GradientSingularityError:
@@ -201,8 +201,11 @@ def project_decomposed(x: np.ndarray, x0: np.ndarray, t: float, cs: ConstraintSe
     Exploits the path decomposition: pull the state back to clean
     coordinates with the inverse path map, project there with project, and
     interpolate back. Equals the direct Euclidean projection onto the
-    transported set. A state whose pull-back is already feasible is returned
-    as it is, not round-tripped through the path map.
+    transported set. The pull-back's faces are evaluated once, inside
+    project: when it leaves the pull-back bitwise unmoved, the state itself
+    is returned (a copy), not round-tripped through the path map. That holds
+    for an exactly feasible pull-back and for one the route leaves in place
+    within its own tolerance (Gauss-Newton's cfg.tol).
     """
     t = float(t)
     if not 0.0 < t <= 1.0:
@@ -211,6 +214,7 @@ def project_decomposed(x: np.ndarray, x0: np.ndarray, t: float, cs: ConstraintSe
     if not cs.members:
         return x.copy()
     z = recover_x1(x, x0, t)
-    if max_violation(cs, z) == 0.0:
+    y = project(z, cs, cfg)
+    if np.array_equal(y, z):
         return x.copy()
-    return interpolate(np.asarray(x0, dtype=float), project(z, cs, cfg), t)
+    return interpolate(np.asarray(x0, dtype=float), y, t)

@@ -1,13 +1,19 @@
 """Normal quantile, seeded streams, and the SPD solver."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanceflow import NumericalError, normal_cdf, normal_quantile, solve_spd, stream_rng
+from chanceflow.constraints import jacobian_active
+from chanceflow.numerics import _cho_factor, _cho_solve
+from chanceflow.reaction_diffusion import RdGrid, rd_constraints, sample_rd_problem, simulate_rd
 
 
 def erf_cdf(z: float) -> float:
@@ -147,3 +153,110 @@ def test_solve_spd_rejects_non_finite():
 def test_solve_spd_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         solve_spd(np.eye(3), np.array([1.0, 2.0]))
+
+
+# --- the LAPACK Cholesky pair -------------------------------------------------
+
+
+def scipy_solve_spd(a, r):
+    """solve_spd's factor, solve and long-double refinement, written on
+    SciPy's cho_factor/cho_solve wrappers: the reference for the direct
+    LAPACK calls."""
+    factor = scipy.linalg.cho_factor(a, check_finite=False)
+    y = scipy.linalg.cho_solve(factor, r, check_finite=False)
+    tol = 1e-10 * (1.0 + float(np.linalg.norm(r)))
+    a_ext = np.asarray(a, dtype=np.longdouble)
+    r_ext = np.asarray(r, dtype=np.longdouble)
+    for _ in range(3):
+        resid = r_ext - a_ext @ np.asarray(y, dtype=np.longdouble)
+        if float(np.linalg.norm(np.asarray(resid, dtype=float))) <= tol:
+            return y
+        y = y + scipy.linalg.cho_solve(factor, np.asarray(resid, dtype=float),
+                                       check_finite=False)
+    return y
+
+
+def spd_systems():
+    """300 SPD systems with n = 1..80: Gram matrices of random rows plus a
+    ridge, conditioned ensembles, and the Gauss-Newton Schur matrices
+    J J^T + 1e-6 I of active reaction-diffusion faces at d = 640."""
+    rng = stream_rng(17, 0)
+    for k in range(150):
+        n = 1 + k % 80
+        m = rng.standard_normal((n, n + int(rng.integers(0, 5))))
+        yield m @ m.T + 10.0 ** rng.uniform(-6.0, 0.0) * np.eye(n), rng.standard_normal(n)
+    for k in range(75):
+        n = 1 + (7 * k) % 80
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * np.geomspace(10.0 ** -rng.uniform(0.0, 6.0), 1.0, n)) @ q.T
+        yield 0.5 * (a + a.T), rng.standard_normal(n)
+    grid = RdGrid(n_s=32, n_t=20, dt_phys=0.25)
+    problem = sample_rd_problem(grid, stream_rng(17, 1))
+    cs = rd_constraints(problem)
+    field = simulate_rd(problem).ravel()
+    for k in range(75):
+        x = field + 10.0 ** rng.uniform(-6.0, -2.0) * rng.standard_normal(grid.d)
+        n = 1 + (11 * k) % min(80, cs.n_faces)
+        active = np.sort(rng.choice(cs.n_faces, size=n, replace=False))
+        jac = jacobian_active(cs, x, active)
+        yield jac @ jac.T + 1e-6 * np.eye(n), rng.standard_normal(n)
+
+
+def test_cholesky_pair_is_bitwise_scipys_wrappers():
+    systems = list(spd_systems())
+    assert len(systems) == 300
+    assert {len(a) for a, _ in systems} >= {1, 80}
+    for k, (a, r) in enumerate(systems):
+        want_factor, lower = scipy.linalg.cho_factor(a)
+        factor = _cho_factor(a)
+        assert not lower
+        assert factor.tobytes() == want_factor.tobytes(), k
+        want = scipy.linalg.cho_solve((want_factor, lower), r)
+        assert _cho_solve(factor, r).tobytes() == want.tobytes(), k
+        assert solve_spd(a, r).tobytes() == scipy_solve_spd(a, r).tobytes(), k
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[1.0, 2.0], [2.0, 1.0]]),
+    np.diag([1.0, 2.0, 0.0]),
+    np.diag([4.0, 3.0, 2.0, 1.0, -1e-3]),
+])
+def test_cholesky_pair_rejects_a_matrix_that_is_not_positive_definite(a):
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.cho_factor(a)
+    with pytest.raises(NumericalError):
+        _cho_factor(a)
+    with pytest.raises(NumericalError):
+        solve_spd(a, np.ones(len(a)))
+
+
+def test_solve_spd_of_an_empty_system_is_empty():
+    y = solve_spd(np.zeros((0, 0)), np.zeros(0))
+    assert y.shape == (0,) and y.dtype == float
+
+
+# --- numerics is the one place for linear algebra ------------------------------
+
+
+def scipy_linalg_imports(path):
+    """Line numbers of every import of scipy.linalg (or a submodule) in a file."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_numerics_imports_scipy_linalg():
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "chanceflow"
+    modules = sorted(package.glob("*.py"))
+    assert package / "numerics.py" in modules
+    assert scipy_linalg_imports(package / "numerics.py")
+    offenders = {p.name: scipy_linalg_imports(p) for p in modules if p.name != "numerics.py"}
+    assert not {name: lines for name, lines in offenders.items() if lines}

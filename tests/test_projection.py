@@ -447,6 +447,84 @@ def test_decomposed_construction_identity():
     assert np.allclose(got, interpolate(x0, clean, t), atol=1e-12)
 
 
+def rd_set_and_field():
+    grid = RdGrid(n_s=10, n_t=4, dt_phys=0.2)
+    ic = 0.4 + 0.1 * np.sin(np.pi * grid.s)
+    problem = RdProblem(grid=grid, nu=0.01, rho=0.02, ic=ic,
+                        g_left=0.003, g_right=-0.001, delta=1e-10)
+    return rd_constraints(problem), simulate_rd(problem).ravel()
+
+
+def test_decomposed_gauss_newton_step_evaluates_the_faces_twice(monkeypatch):
+    # One evaluation before the single step and one after it; the pull-back
+    # is not evaluated a third time to test its feasibility.
+    cs, field = rd_set_and_field()
+    rng = stream_rng(41, 6)
+    real = ConstraintSet.face_values
+    calls = []
+
+    def spy(self, x):
+        calls.append(np.shape(x))
+        return real(self, x)
+
+    monkeypatch.setattr(ConstraintSet, "face_values", spy)
+    for _ in range(5):
+        x0 = rng.standard_normal(field.size)
+        t = rng.uniform(0.1, 1.0)
+        x = interpolate(x0, field + 1e-3 * rng.standard_normal(field.size), t)
+        calls.clear()
+        out = project_decomposed(x, x0, t, cs, GnConfig(max_iters=1))
+        assert not np.array_equal(out, x)
+        assert calls == [(field.size,)] * 2
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-9, 1e-6, 1e-3])
+def test_decomposed_is_bitwise_the_feasibility_checked_formula(scale):
+    # The two-evaluation rule it replaces: a copy of the state when its
+    # pull-back is exactly feasible, else the projected pull-back mapped
+    # back along the path.
+    cs, field = rd_set_and_field()
+    rng = stream_rng(41, 7)
+    gn = GnConfig(max_iters=1)
+    kinds = set()
+    for _ in range(20):
+        x0 = rng.standard_normal(field.size)
+        t = rng.uniform(0.05, 1.0)
+        x = interpolate(x0, field + scale * rng.standard_normal(field.size), t)
+        z = recover_x1(x, x0, t)
+        viol = max_violation(cs, z)
+        if viol == 0.0:
+            want = x.copy()
+        elif viol > gn.tol:
+            want = interpolate(x0, project(z, cs, gn), t)
+        else:
+            continue
+        kinds.add(viol == 0.0)
+        assert project_decomposed(x, x0, t, cs, gn).tobytes() == want.tobytes()
+    assert kinds == {scale == 0.0}
+
+
+def test_decomposed_keeps_a_state_the_route_leaves_in_place():
+    # The pull-back violates by about 5e-11, inside Gauss-Newton's 1e-10
+    # tolerance, so the route returns it unmoved and so does the state,
+    # where a round trip through the path map would change its last bits.
+    d = 8
+    cs = ConstraintSet((SmoothScalar(d, lambda x: float(x[0]) - 1.0,
+                                     lambda x: np.eye(1, d)[0]),))
+    rng = stream_rng(41, 8)
+    x0 = rng.standard_normal(d)
+    x1 = rng.standard_normal(d)
+    x1[0] = 1.0 + 5e-11
+    t = 0.3
+    x = interpolate(x0, x1, t)
+    z = recover_x1(x, x0, t)
+    assert 0.0 < max_violation(cs, z) <= GnConfig().tol
+    assert not np.array_equal(interpolate(x0, z, t), x)
+    out = project_decomposed(x, x0, t, cs)
+    assert np.array_equal(out, x)
+    assert out is not x
+
+
 # --- shared invariants ------------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chanceflow import (ConstraintSet, EmpiricalTarget, FlowModel, NumericalError,
                         RdGrid, RdProblem, SamplerConfig, SmoothScalar, final_refine,
@@ -14,7 +15,7 @@ from chanceflow import projection
 from chanceflow.config import parse_config
 from chanceflow.constraints import LinearBand, jacobian_active
 from chanceflow.numerics import stream_rng
-from chanceflow.reaction_diffusion import as_field, sample_rd_problem
+from chanceflow.reaction_diffusion import _diffusion_operator, as_field, sample_rd_problem
 
 GRID = RdGrid(n_s=32, n_t=20, dt_phys=0.25)
 
@@ -43,6 +44,56 @@ def test_first_frame_is_the_initial_condition():
     field = simulate_rd(problem)
     assert np.array_equal(field[0], problem.ic)
     assert field.shape == (GRID.n_t, GRID.n_s)
+
+
+def loop_diffusion_operator(grid, nu):
+    """The flux-divergence operator built cell by cell, as a reference."""
+    n = grid.n_s
+    coeff = nu / grid.ds
+    lap = np.zeros((n, n))
+    for i in range(n):
+        if i > 0:
+            lap[i, i - 1] += coeff
+            lap[i, i] -= coeff
+        if i < n - 1:
+            lap[i, i + 1] += coeff
+            lap[i, i] -= coeff
+    return lap
+
+
+def scipy_simulate_rd(problem):
+    """simulate_rd on SciPy's cho_factor/cho_solve and the loop-built
+    operator: the reference for the direct LAPACK calls."""
+    grid = problem.grid
+    w = grid.cell_weights
+    lhs = np.diag(w) - grid.dt_phys * loop_diffusion_operator(grid, problem.nu)
+    factor = scipy.linalg.cho_factor(lhs)
+    boundary = np.zeros(grid.n_s)
+    boundary[0] = problem.g_left
+    boundary[-1] = -problem.g_right
+    field = np.empty((grid.n_t, grid.n_s))
+    field[0] = v = problem.ic
+    for k in range(1, grid.n_t):
+        rhs = w * v + grid.dt_phys * (boundary + problem.rho * v * (1.0 - v) * w)
+        field[k] = v = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    return field
+
+
+@pytest.mark.parametrize("n_s", [4, 5, 8, 32, 33, 128])
+def test_diffusion_operator_is_bitwise_the_cell_loop(n_s):
+    grid = RdGrid(n_s=n_s, n_t=3, length=1.3, dt_phys=0.25)
+    for nu in (0.005, 0.7, 3.0e-4):
+        lap = _diffusion_operator(grid, nu)
+        assert lap.tobytes() == loop_diffusion_operator(grid, nu).tobytes()
+
+
+def test_simulation_is_bitwise_the_scipy_wrapper_reference():
+    for k, grid in enumerate((GRID, RdGrid(n_s=8, n_t=5, dt_phys=0.4),
+                              RdGrid(n_s=57, n_t=9, length=2.0, dt_phys=0.1))):
+        for i in range(4):
+            problem = sample_rd_problem(grid, stream_rng(61 + k, i), nu=0.005 * (i + 1),
+                                        rho=0.01 * i)
+            assert simulate_rd(problem).tobytes() == scipy_simulate_rd(problem).tobytes()
 
 
 def test_heat_mode_decay_matches_eigenvalue():
