@@ -11,8 +11,7 @@ top.
 from .chance import Scheduler, sigma_of_t, tighten_set, transport_set
 from .constraints import (ConstraintSet, LinearBand, LinearIneq, MinDistance,
                           SmoothScalar, max_violation)
-from .errors import (ConfigError, GradientSingularityError, NumericalError,
-                     OracleFailure)
+from .errors import ConfigError, NumericalError, OracleFailure
 from .flow import (EmpiricalTarget, FlowModel, GaussianMixtureTarget,
                    interpolate, load_matrix, recover_x1)
 from .numerics import normal_cdf, normal_quantile, solve_spd, stream_rng
@@ -32,7 +31,7 @@ __all__ = [
     "Scheduler", "sigma_of_t", "tighten_set", "transport_set",
     "ConstraintSet", "LinearBand", "LinearIneq", "MinDistance", "SmoothScalar",
     "max_violation",
-    "ConfigError", "GradientSingularityError", "NumericalError", "OracleFailure",
+    "ConfigError", "NumericalError", "OracleFailure",
     "EmpiricalTarget", "FlowModel", "GaussianMixtureTarget", "interpolate",
     "load_matrix", "recover_x1",
     "normal_cdf", "normal_quantile", "solve_spd", "stream_rng",

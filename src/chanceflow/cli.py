@@ -129,12 +129,11 @@ def run_experiment(cfg_path, seed: int | None = None, out_dir: str = ".",
             batches[scfg.algorithm] = records
             log.info("%s: %d samples, total sampling time %.3fs", scfg.algorithm,
                      len(records), sum(r.wall_time for r in records))
-            if scfg.algorithm != "vanilla":
-                for i, r in enumerate(records):
-                    if not r.refine_converged or r.final_violation > cfg.cs.tol:
-                        log.error("%s sample %d infeasible after final refinement "
-                                  "(max violation %.3e)", scfg.algorithm, i, r.final_violation)
-                        infeasible += 1
+            for i, r in enumerate(records):
+                if not r.refine_converged:
+                    log.error("%s sample %d infeasible after final refinement "
+                              "(max violation %.3e)", scfg.algorithm, i, r.final_violation)
+                    infeasible += 1
             rows.append(_result_row(cfg, scfg, records))
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(rows, os.path.join(out_dir, cfg.csv_name))

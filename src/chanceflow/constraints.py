@@ -7,7 +7,8 @@ implements one interface:
 - face_values(x) takes one state (d,) or a batch (B, d) and returns
   (n_faces,) or (B, n_faces); each row of a batch is bitwise the value of
   that row evaluated alone;
-- jacobian(x) gives the gradient rows of one state as an (n_faces, d) matrix;
+- jacobian(x) gives the gradient rows of one state as an (n_faces, d)
+  matrix, defined at every finite state (MinDistance's center included);
 - project(x), on the families with has_closed_projection, is the exact
   Euclidean projection of one state.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GradientSingularityError, NumericalError
+from .errors import NumericalError
 from .numerics import stream_rng
 
 __all__ = [
@@ -197,6 +198,12 @@ class MinDistance:
 
     coord_subset selects which coordinates the distance is measured over;
     None means all of them.
+
+    The face r - ||x_S - c|| is not differentiable at the center, where every
+    direction leaves the ball equally fast. jacobian returns there the unit
+    row -e_k along the first measured coordinate (k = coord_subset[0], or 0
+    without a subset): a generalized gradient, so the row is defined at every
+    finite state and a Gauss-Newton step from the center moves along +e_k.
     """
 
     center: np.ndarray
@@ -239,13 +246,10 @@ class MinDistance:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         diff = self._select(x) - self.center
         dist = float(np.linalg.norm(diff))
-        if dist == 0.0:
-            raise GradientSingularityError("min-distance gradient undefined at the center")
+        # At the center: -e_0 of the measured coordinates (class docstring).
+        row = -diff / dist if dist != 0.0 else -np.eye(1, diff.size)[0]
         grad = np.zeros_like(np.asarray(x, dtype=float))
-        if self.coord_subset is None:
-            grad[:] = -diff / dist
-        else:
-            grad[list(self.coord_subset)] = -diff / dist
+        grad[... if self.coord_subset is None else list(self.coord_subset)] = row
         return grad[None, :]
 
 

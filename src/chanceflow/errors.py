@@ -9,9 +9,5 @@ class ConfigError(ValueError):
     """An experiment configuration is malformed or inconsistent."""
 
 
-class GradientSingularityError(ValueError):
-    """A constraint gradient was requested at a point where it is undefined."""
-
-
 class OracleFailure(RuntimeError):
     """A verification oracle could not produce a trustworthy answer."""

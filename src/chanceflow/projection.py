@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSet, hinge_max, jacobian_active, max_violation
-from .errors import GradientSingularityError
 from .flow import interpolate, recover_x1
-from .numerics import solve_spd, stream_rng
+from .numerics import solve_spd
 
 __all__ = [
     "GnConfig",
@@ -40,7 +39,6 @@ __all__ = [
 ]
 
 _POCS_CYCLES = 500
-_NUDGE_SEED = 0x0DD5_EED  # deterministic escape direction for singular gradients
 
 
 @dataclass(frozen=True)
@@ -138,12 +136,12 @@ def gauss_newton_project(x: np.ndarray, cs: ConstraintSet,
 
     Each iteration rebuilds the active set, hinge residuals, and Jacobian,
     then applies the ridge-regularized least-norm correction. A feasible
-    input returns unchanged with zero iterations. A singular gradient
-    (min-distance center) is escaped by a deterministic 1e-8 nudge.
+    input returns unchanged with zero iterations. Every member's Jacobian is
+    defined at every finite state, so a start at a keep-out ball's center
+    steps out along the ball's center row like any other start.
     """
     x = np.array(x, dtype=float)
     history = []
-    nudges = 0
     iterations = 0
     while True:
         vals = cs.face_values(x)
@@ -154,16 +152,7 @@ def gauss_newton_project(x: np.ndarray, cs: ConstraintSet,
         if iterations >= cfg.max_iters:
             return ProjectionReport(x, iterations, viol, False, tuple(history))
         active = np.flatnonzero(vals > 0.0)
-        try:
-            jac = jacobian_active(cs, x, active)
-        except GradientSingularityError:
-            if nudges >= 3:
-                raise
-            direction = stream_rng(_NUDGE_SEED, nudges).standard_normal(x.size)
-            x = x + 1e-8 * direction / np.linalg.norm(direction)
-            nudges += 1
-            history.pop()
-            continue
+        jac = jacobian_active(cs, x, active)
         r = vals[active]
         schur = jac @ jac.T + cfg.lam * np.eye(len(active))
         y = solve_spd(schur, r)
@@ -211,8 +200,6 @@ def project_decomposed(x: np.ndarray, x0: np.ndarray, t: float, cs: ConstraintSe
     if not 0.0 < t <= 1.0:
         raise ValueError(f"decomposed projection requires 0 < t <= 1, got {t!r}")
     x = np.asarray(x, dtype=float)
-    if not cs.members:
-        return x.copy()
     z = recover_x1(x, x0, t)
     y = project(z, cs, cfg)
     if np.array_equal(y, z):

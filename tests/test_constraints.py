@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chanceflow import (ConfigError, ConstraintSet, GradientSingularityError,
-                        LinearBand, LinearIneq, MinDistance, NumericalError,
-                        SmoothScalar, final_refine, max_violation)
+from chanceflow import (ConfigError, ConstraintSet, LinearBand, LinearIneq,
+                        MinDistance, NumericalError, SmoothScalar, final_refine,
+                        max_violation)
 from chanceflow.config import parse_config
 from chanceflow.constraints import jacobian_active
 from chanceflow.oracles import halfspace_qp_project
@@ -300,15 +300,19 @@ def test_jacobian_requires_active_faces():
         jacobian_active(cs, np.zeros(2), [])
 
 
-def test_min_distance_gradient_singular_at_center():
+def test_min_distance_jacobian_defined_at_center():
+    # At the center the row is -e_k along the first measured coordinate.
     c = MinDistance(np.array([1.0, -1.0]), 1.0)
-    with pytest.raises(GradientSingularityError):
-        c.jacobian(np.array([1.0, -1.0]))[0]
+    assert np.array_equal(c.jacobian(np.array([1.0, -1.0])), [[-1.0, 0.0]])
+    sub = MinDistance(np.array([0.5, 2.0]), 1.0, coord_subset=(3, 1))
+    want = np.zeros((1, 5))
+    want[0, 3] = -1.0
+    assert np.array_equal(sub.jacobian(np.array([7.0, 2.0, -4.0, 0.5, 9.0])), want)
 
 
 def test_jacobians_match_finite_differences_on_probes():
     # 100 probe points per family, central differences, away from the
-    # min-distance singularity.
+    # min-distance center, where the face has a kink.
     def g(x):
         return float(np.sin(x[0]) + x[1] ** 2 - 0.4)
 

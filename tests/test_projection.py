@@ -326,6 +326,25 @@ def test_gn_escapes_min_distance_center():
     assert np.linalg.norm(report.x_out - [0.3, -0.7]) >= 0.5 - 1e-8
 
 
+@pytest.mark.parametrize("subset", [None, (2, 0)])
+def test_gn_from_min_distance_center_steps_along_center_row(subset):
+    # The center row is -e_k at k = coord_subset[0] (0 without a subset), so
+    # the state leaves the ball along +e_k and nowhere else.
+    center = np.array([0.3, -0.7])
+    k = 0 if subset is None else subset[0]
+    x = center.copy() if subset is None else np.array([-0.7, 5.0, 0.3])
+    cs = ConstraintSet((MinDistance(center, 0.5, coord_subset=subset),))
+    cfg = GnConfig(max_iters=50, tol=1e-10)
+    report = gauss_newton_project(x, cs, cfg)
+    assert report.converged
+    moved = report.x_out - x
+    assert moved[k] >= 0.5 - 1e-8
+    assert np.array_equal(np.delete(moved, k), np.zeros(x.size - 1))
+    again = gauss_newton_project(x, cs, cfg)
+    assert again.x_out.tobytes() == report.x_out.tobytes()
+    assert again.history == report.history
+
+
 def test_gn_violation_history_nonincreasing_on_convex_set():
     cs = ConstraintSet((
         LinearIneq(np.array([1.0, 1.0]), 0.0),
@@ -411,6 +430,13 @@ def test_decomposed_feasible_state_unchanged():
     x = np.array([0.9])  # M_t(x) = (0.9 - 0.5*2)/0.5 = -0.2, inside C1
     out = project_decomposed(x, np.array([2.0]), 0.5, cs)
     assert np.array_equal(out, x)
+
+
+def test_decomposed_empty_set_returns_copy_of_state():
+    x = np.array([0.4, -1.3])
+    out = project_decomposed(x, np.array([2.0, 0.5]), 0.3, ConstraintSet(()))
+    assert np.array_equal(out, x)
+    assert out is not x
 
 
 def test_decomposed_rejects_t0():

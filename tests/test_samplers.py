@@ -262,6 +262,7 @@ def test_all_four_agree_without_constraints():
         sample_repeated(model, empty, cfg, sample_index=5),
         sample_eci(model, empty, cfg, sample_index=5),
         sample_ccfm(model, empty, cfg, sample_index=5),
+        sample_ccfm(model, empty, dataclasses.replace(cfg, mode="pathwise"), sample_index=5),
     ]
     base = recs[0].states
     for rec in recs[1:]:
