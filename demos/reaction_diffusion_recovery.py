@@ -15,8 +15,8 @@ import argparse
 
 import numpy as np
 
-from chanceflow import (EmpiricalTarget, FlowModel, GnConfig, RdGrid,
-                        SamplerConfig, moment_errors, rd_constraints, rd_dataset,
+from chanceflow import (EmpiricalTarget, FlowModel, RdGrid, SamplerConfig,
+                        moment_errors, rd_constraints, rd_dataset,
                         rd_violation_split, run_batch)
 
 ASCII_LEVELS = " .:-=+*#%@"
@@ -57,7 +57,7 @@ def main() -> int:
     for label, constrained in (("vanilla", False), ("ccfm/pathwise", True)):
         cfg = SamplerConfig(algorithm="ccfm" if constrained else "vanilla",
                             n_steps=50, mode="pathwise", seed=args.seed,
-                            samples=args.samples, gn=GnConfig(max_iters=1),
+                            samples=args.samples, gn_iters=1,
                             final_budget=30)
         records = run_batch(model, cs if constrained else None, cfg)
         finals = np.stack([r.x1 for r in records])
@@ -70,7 +70,7 @@ def main() -> int:
         print(f"{label:<15} {mmse:9.4f}  {smse:9.4f}   {cv_ic:9.2e}   {cv_cl:9.2e}")
 
     cfg = SamplerConfig(algorithm="ccfm", n_steps=50, mode="pathwise",
-                        seed=args.seed, samples=1, gn=GnConfig(max_iters=1),
+                        seed=args.seed, samples=1, gn_iters=1,
                         final_budget=30)
     sample = run_batch(model, cs, cfg)[0].x1
     lo = float(min(held_out.min(), sample.min()))

@@ -18,9 +18,8 @@ from .numerics import normal_cdf, normal_quantile, solve_spd, stream_rng
 from .oracles import (BruteForceConfig, DistortionReport, McEstimate,
                       brute_force_project, feasibility_report, mc_chance,
                       moment_errors, rejection_sample, sample_target, sliced_w2)
-from .projection import (GnConfig, ProjectionReport, final_refine,
-                         gauss_newton_project, project, project_decomposed,
-                         project_pocs)
+from .projection import (ProjectionReport, final_refine, gauss_newton_project,
+                         project, project_decomposed, project_pocs)
 from .reaction_diffusion import (RdGrid, RdProblem, rd_constraints, rd_dataset,
                                  rd_violation_split, sample_rd_problem, simulate_rd)
 from .samplers import SampleRecord, SamplerConfig, run_batch
@@ -38,7 +37,7 @@ __all__ = [
     "BruteForceConfig", "DistortionReport", "McEstimate", "brute_force_project",
     "feasibility_report", "mc_chance", "moment_errors", "rejection_sample",
     "sample_target", "sliced_w2",
-    "GnConfig", "ProjectionReport", "final_refine", "gauss_newton_project",
+    "ProjectionReport", "final_refine", "gauss_newton_project",
     "project", "project_decomposed", "project_pocs",
     "RdGrid", "RdProblem", "rd_constraints", "rd_dataset", "rd_violation_split",
     "sample_rd_problem", "simulate_rd",

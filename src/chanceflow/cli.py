@@ -42,8 +42,9 @@ class ResultRow:
 
     Metrics that do not apply (std error with one sample, CV columns outside
     the reaction-diffusion benchmark) are None and render as empty cells.
-    wall_time is always left empty in the CSV so that output is byte-identical
-    across machines and thread counts; measured times go to the log instead.
+    The last column, wall_time, is always left empty so that output is
+    byte-identical across machines and thread counts; measured times go to
+    the log instead.
     """
 
     experiment: str
@@ -57,11 +58,10 @@ class ResultRow:
     smse: float | None
     cv_ic: float | None
     cv_cl: float | None
-    wall_time: float | None = None
 
     def render(self) -> str:
-        cells = [_format_cell(getattr(self, name)) for name in CSV_HEADER]
-        return ",".join(cells)
+        cells = [_format_cell(getattr(self, name)) for name in CSV_HEADER[:-1]]
+        return ",".join(cells + [""])
 
 
 def _format_cell(value) -> str:

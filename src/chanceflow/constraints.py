@@ -133,9 +133,6 @@ class LinearBand:
         jac[0::2] = -rows
         jac[1::2] = rows
         jac.flags.writeable = False
-        offset = np.empty(2 * k)
-        offset[0::2] = lo
-        offset[1::2] = -hi
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "lo", float(lo) if a.ndim == 1 else lo)
         object.__setattr__(self, "hi", float(hi) if a.ndim == 1 else hi)
@@ -144,7 +141,6 @@ class LinearBand:
         object.__setattr__(self, "_hi", hi.reshape(k))
         object.__setattr__(self, "_sq", np.vecdot(rows, rows))
         object.__setattr__(self, "_jac", jac)
-        object.__setattr__(self, "_offset", offset)
 
     @property
     def dim(self):
@@ -157,18 +153,11 @@ class LinearBand:
     has_closed_projection = True
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim == 1:
-            # One state: (-a_r).x + lo_r and a_r.x + (-hi_r) round exactly as
-            # lo_r - a_r.x and a_r.x - hi_r, because negation is exact. A zero
-            # (-a_r).x may be +0.0 where -(a_r.x) is -0.0; with lo_r never
-            # -0.0 both sums still give the same zero.
-            return np.vecdot(x, self._jac) + self._offset
-        # A batch: one product per row and state, half as many dot calls.
-        s = np.vecdot(x[:, None, :], self._rows)
-        vals = np.empty((len(x), self.n_faces))
-        vals[:, 0::2] = self._lo - s
-        vals[:, 1::2] = s - self._hi
+        # One product per row and state, shared by the row's two faces.
+        s = np.vecdot(np.asarray(x)[..., None, :], self._rows)
+        vals = np.empty(s.shape[:-1] + (self.n_faces,))
+        vals[..., 0::2] = self._lo - s
+        vals[..., 1::2] = s - self._hi
         return vals
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:

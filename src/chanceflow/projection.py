@@ -9,12 +9,14 @@ use a ridge-regularized Gauss-Newton active-set iteration,
 
     x <- x - J^T (J J^T + lambda I)^{-1} r,
 
-with hinge residuals r and the active-face Jacobian J recomputed every
-iteration; the same iteration with a fixed budget serves as the strict
-terminal refinement.
+with hinge residuals r, the active-face Jacobian J recomputed every
+iteration, and one fixed ridge lambda = 1e-6 (_RIDGE) that keeps the Schur
+system SPD. Only the iteration budget and the stopping tolerance vary between
+callers: the per-step correction takes the sampler's gn_iters at 1e-10, and
+the strict terminal refinement takes its own budget at cs.tol/16.
 
-project(x, cs, gn) is the one place that chooses among these three routes,
-from the set alone. Clean, tightened and transported sets are all
+project(x, cs, gn_iters) is the one place that chooses among these three
+routes, from the set alone. Clean, tightened and transported sets are all
 ConstraintSets, so every per-step correction of every sampler goes through it.
 """
 
@@ -29,7 +31,6 @@ from .flow import interpolate, recover_x1
 from .numerics import solve_spd
 
 __all__ = [
-    "GnConfig",
     "ProjectionReport",
     "project",
     "project_pocs",
@@ -39,23 +40,7 @@ __all__ = [
 ]
 
 _POCS_CYCLES = 500
-
-
-@dataclass(frozen=True)
-class GnConfig:
-    """Gauss-Newton projection settings; the ridge keeps the Schur system SPD."""
-
-    lam: float = 1e-6
-    max_iters: int = 30
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 < self.lam < np.inf:
-            raise ValueError(f"ridge parameter must be positive and finite, got {self.lam}")
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iters < 0:
-            raise ValueError("iteration budget must be non-negative")
+_RIDGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,13 +59,13 @@ class ProjectionReport:
     history: tuple = ()
 
 
-def project(x: np.ndarray, cs: ConstraintSet, gn: GnConfig = GnConfig()) -> np.ndarray:
+def project(x: np.ndarray, cs: ConstraintSet, gn_iters: int = 30) -> np.ndarray:
     """Projection onto cs, by the cheapest exact route it admits.
 
     An orthogonal set (cs.orthogonal, as any set of at most one closed-form
     member is) takes one pass of its members' closed forms in declaration
     order; other closed-form sets go through Dykstra's cyclic projection;
-    any other set takes the configured Gauss-Newton pass.
+    any other set takes a Gauss-Newton pass of at most gn_iters iterations.
     """
     if cs.orthogonal:
         for member in cs.members:
@@ -88,7 +73,7 @@ def project(x: np.ndarray, cs: ConstraintSet, gn: GnConfig = GnConfig()) -> np.n
         return x
     if cs.all_closed_form:
         return project_pocs(x, cs, _POCS_CYCLES).x_out
-    return gauss_newton_project(x, cs, gn).x_out
+    return gauss_newton_project(x, cs, gn_iters).x_out
 
 
 def project_pocs(x: np.ndarray, cs: ConstraintSet,
@@ -130,16 +115,22 @@ def project_pocs(x: np.ndarray, cs: ConstraintSet,
     return ProjectionReport(cur, int(max_cycles), viol, viol <= cs.tol, tuple(history))
 
 
-def gauss_newton_project(x: np.ndarray, cs: ConstraintSet,
-                         cfg: GnConfig = GnConfig()) -> ProjectionReport:
+def gauss_newton_project(x: np.ndarray, cs: ConstraintSet, max_iters: int = 30,
+                         tol: float = 1e-10) -> ProjectionReport:
     """Active-set Gauss-Newton projection onto {x : g(x) <= 0}.
 
     Each iteration rebuilds the active set, hinge residuals, and Jacobian,
-    then applies the ridge-regularized least-norm correction. A feasible
-    input returns unchanged with zero iterations. Every member's Jacobian is
-    defined at every finite state, so a start at a keep-out ball's center
-    steps out along the ball's center row like any other start.
+    then applies the ridge-regularized least-norm correction. Stops once the
+    max violation is within tol (> 0) or after max_iters (>= 0) updates;
+    either bound out of range raises ValueError. A feasible input returns
+    unchanged with zero iterations. Every member's Jacobian is defined at
+    every finite state, so a start at a keep-out ball's center steps out
+    along the ball's center row like any other start.
     """
+    if max_iters < 0:
+        raise ValueError(f"iteration budget must be non-negative, got {max_iters}")
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     x = np.array(x, dtype=float)
     history = []
     iterations = 0
@@ -147,14 +138,14 @@ def gauss_newton_project(x: np.ndarray, cs: ConstraintSet,
         vals = cs.face_values(x)
         viol = hinge_max(vals)
         history.append(viol)
-        if viol <= cfg.tol:
+        if viol <= tol:
             return ProjectionReport(x, iterations, viol, True, tuple(history))
-        if iterations >= cfg.max_iters:
+        if iterations >= max_iters:
             return ProjectionReport(x, iterations, viol, False, tuple(history))
         active = np.flatnonzero(vals > 0.0)
         jac = jacobian_active(cs, x, active)
         r = vals[active]
-        schur = jac @ jac.T + cfg.lam * np.eye(len(active))
+        schur = jac @ jac.T + _RIDGE * np.eye(len(active))
         y = solve_spd(schur, r)
         dx = -(jac.T @ y)
         x = x + dx
@@ -172,8 +163,7 @@ def final_refine(x: np.ndarray, cs: ConstraintSet, budget: int = 30) -> Projecti
     bounded by the already-tiny residual violation. Running out of budget is
     reported via converged=False, never silently.
     """
-    cfg = GnConfig(max_iters=int(budget), tol=cs.tol / 16.0)
-    report = gauss_newton_project(x, cs, cfg)
+    report = gauss_newton_project(x, cs, int(budget), cs.tol / 16.0)
     y = report.x_out
     for member in cs.members:
         if member.has_closed_projection:
@@ -184,7 +174,7 @@ def final_refine(x: np.ndarray, cs: ConstraintSet, budget: int = 30) -> Projecti
 
 
 def project_decomposed(x: np.ndarray, x0: np.ndarray, t: float, cs: ConstraintSet,
-                       cfg: GnConfig = GnConfig()) -> np.ndarray:
+                       gn_iters: int = 30) -> np.ndarray:
     """Projection onto the time-t feasible set (1-t) x0 + t C.
 
     Exploits the path decomposition: pull the state back to clean
@@ -194,14 +184,14 @@ def project_decomposed(x: np.ndarray, x0: np.ndarray, t: float, cs: ConstraintSe
     project: when it leaves the pull-back bitwise unmoved, the state itself
     is returned (a copy), not round-tripped through the path map. That holds
     for an exactly feasible pull-back and for one the route leaves in place
-    within its own tolerance (Gauss-Newton's cfg.tol).
+    within its own tolerance (Gauss-Newton's 1e-10).
     """
     t = float(t)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"decomposed projection requires 0 < t <= 1, got {t!r}")
     x = np.asarray(x, dtype=float)
     z = recover_x1(x, x0, t)
-    y = project(z, cs, cfg)
+    y = project(z, cs, gn_iters)
     if np.array_equal(y, z):
         return x.copy()
     return interpolate(np.asarray(x0, dtype=float), y, t)

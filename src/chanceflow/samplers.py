@@ -27,7 +27,7 @@ from .flow import FlowModel, interpolate
 from .numerics import stream_rng
 # project_pocs and gauss_newton_project are reached through project; they
 # stay importable here because perfbench/spans.py hooks them at this site.
-from .projection import (GnConfig, final_refine, gauss_newton_project,  # noqa: F401
+from .projection import (final_refine, gauss_newton_project,  # noqa: F401
                          project, project_decomposed, project_pocs)
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("vanilla", "repeated", "eci", "ccfm")
-STEPPERS = ("euler", "heun")
 MODES = ("marginal", "pathwise")
 
 
@@ -53,10 +52,10 @@ class SamplerConfig:
 
     eci ignores stepper: it extrapolates with one velocity call per step.
     Only ccfm reads mode (and scheduler, in marginal mode), and only eci
-    reads eci_events, its number of noise-resampling events. gn sets only the
-    per-step Gauss-Newton correction (default: a single update); the final
-    refinement takes final_budget iterations at tolerance cs.tol/16 with the
-    default ridge 1e-6, whatever gn.lam says.
+    reads eci_events, its number of noise-resampling events. gn_iters is the
+    iteration budget of the per-step Gauss-Newton correction (default: a
+    single update); the final refinement takes final_budget iterations at
+    tolerance cs.tol/16. Both use the one ridge of the projection module.
     """
 
     algorithm: str = "ccfm"
@@ -64,7 +63,7 @@ class SamplerConfig:
     n_steps: int = 100
     scheduler: Scheduler = Scheduler(0.5)
     mode: str = "marginal"
-    gn: GnConfig = GnConfig(max_iters=1)
+    gn_iters: int = 1
     final_budget: int = 30
     seed: int = 0
     samples: int = 1
@@ -73,12 +72,14 @@ class SamplerConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.stepper not in STEPPERS:
+        if self.stepper not in _STEPPERS:
             raise ValueError(f"unknown stepper {self.stepper!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
+        if self.gn_iters < 0:
+            raise ValueError("gn_iters must be non-negative")
         if self.final_budget < 0:
             raise ValueError("final_budget must be non-negative")
         if self.samples < 1:
@@ -230,7 +231,7 @@ def sample_repeated(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
     early states onto a set meant for t = 1.
     """
     return _sample(model, cs, cfg, sample_index,
-                   lambda x, x0, k: project(x, cs, cfg.gn))
+                   lambda x, x0, k: project(x, cs, cfg.gn_iters))
 
 
 def sample_eci(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
@@ -244,7 +245,7 @@ def sample_eci(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
     sample's own stream.
     """
     return _sample(model, cs, cfg, sample_index,
-                   lambda x, x0, k: project(x, cs, cfg.gn), extrapolate=True)
+                   lambda x, x0, k: project(x, cs, cfg.gn_iters), extrapolate=True)
 
 
 def sample_ccfm(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
@@ -262,10 +263,10 @@ def sample_ccfm(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
     if cfg.mode == "pathwise":
         ts = _time_grid(cfg.n_steps)
         return _sample(model, cs, cfg, sample_index,
-                       lambda x, x0, k: project_decomposed(x, x0, ts[k + 1], cs, cfg.gn))
+                       lambda x, x0, k: project_decomposed(x, x0, ts[k + 1], cs, cfg.gn_iters))
     schedule = _schedule if _schedule is not None else _marginal_schedule(cs, cfg)
     return _sample(model, cs, cfg, sample_index,
-                   lambda x, x0, k: project(x, schedule[k], cfg.gn))
+                   lambda x, x0, k: project(x, schedule[k], cfg.gn_iters))
 
 
 def _one_sample(model, cs, cfg, index: int, schedule) -> SampleRecord:

@@ -20,8 +20,8 @@ from .flow import (EmpiricalTarget, FlowModel, GaussianMixtureTarget,
 from .numerics import normal_cdf, normal_quantile, solve_spd, stream_rng
 from .oracles import (BruteForceConfig, brute_force_project,
                       halfspace_qp_project, mc_chance, sliced_w2)
-from .projection import (GnConfig, final_refine, gauss_newton_project,
-                         project_decomposed, project_pocs)
+from .projection import (final_refine, gauss_newton_project, project_decomposed,
+                         project_pocs)
 from .reaction_diffusion import (RdGrid, RdProblem, rd_constraints,
                                  sample_rd_problem, simulate_rd)
 from .samplers import SamplerConfig, run_batch
@@ -121,7 +121,7 @@ def pathwise_projection_commutes():
     for _ in range(50):
         x0, x = rng.standard_normal(2), rng.standard_normal(2)
         t = float(rng.uniform(0.1, 0.99))
-        via_clean = project_decomposed(x, x0, t, cs, GnConfig())
+        via_clean = project_decomposed(x, x0, t, cs)
         shifted = transport_set(cs, t, x0)
         direct = shifted.members[0].project(x)
         _assert(np.allclose(via_clean, direct, atol=1e-9),
@@ -150,7 +150,7 @@ def gauss_newton_matches_closed_form():
     cs = ConstraintSet((c,))
     for _ in range(25):
         x = 3.0 * rng.standard_normal(3)
-        got = gauss_newton_project(x, cs, GnConfig(max_iters=50)).x_out
+        got = gauss_newton_project(x, cs, 50).x_out
         _assert(np.allclose(got, c.project(x), atol=1e-5),
                 "Gauss-Newton drifts from the closed-form projection")
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from chanceflow import (BruteForceConfig, ConstraintSet, FlowModel,
-                        GaussianMixtureTarget, GnConfig, LinearBand,
+                        GaussianMixtureTarget, LinearBand,
                         LinearIneq, MinDistance, Scheduler,
                         SmoothScalar, SamplerConfig, brute_force_project,
                         feasibility_report, gauss_newton_project,
@@ -315,15 +315,14 @@ def test_c08_gauss_newton_matches_closed_form_and_decays_superlinearly():
         d = int(rng.integers(2, 7))
         c = LinearIneq(random_direction(rng, d), float(rng.uniform(-1.0, 1.0)))
         x = 3.0 * rng.standard_normal(d)
-        got = gauss_newton_project(x, ConstraintSet((c,)), GnConfig(max_iters=50)).x_out
+        got = gauss_newton_project(x, ConstraintSet((c,)), 50).x_out
         worst = max(worst, float(np.linalg.norm(got - c.project(x))))
         assert np.linalg.norm(got - c.project(x)) <= 1e-5
 
     # Smooth full-rank instance: hinge residuals of ||x||^2 <= 1 from outside.
     cs = ConstraintSet((SmoothScalar(2, lambda y: float(y @ y) - 1.0,
                                      lambda y: 2.0 * y),), tol=1e-13)
-    report = gauss_newton_project(np.array([1.5, 0.0]), cs,
-                                  GnConfig(max_iters=40, tol=1e-13))
+    report = gauss_newton_project(np.array([1.5, 0.0]), cs, 40, 1e-13)
     assert report.converged
     decays = [v for v in report.history if v > 0.0]
     while len(decays) >= 2 and decays[-1] == decays[-2]:

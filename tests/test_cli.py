@@ -1,5 +1,6 @@
 """Config parsing, the experiment runner, CSV/SVG output, and exit codes."""
 
+import logging
 import os
 import textwrap
 import xml.etree.ElementTree as ET
@@ -7,8 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from chanceflow import (ConfigError, GnConfig, LinearBand, SampleRecord, SamplerConfig,
-                        Scheduler)
+from chanceflow import ConfigError, LinearBand, SampleRecord, SamplerConfig, Scheduler
 from chanceflow.cli import CSV_HEADER, ResultRow, main, run_experiment
 from chanceflow.config import build_workbench, parse_config
 from chanceflow.figures import emit_figure
@@ -124,7 +124,7 @@ def test_parse_fills_defaults(tmp_path):
     assert cfg.experiment_id == "tiny"
     (scfg,) = cfg.samplers
     assert scfg == SamplerConfig(algorithm="vanilla", n_steps=100, scheduler=Scheduler(0.5),
-                                 gn=GnConfig(lam=1e-6, max_iters=1), seed=0, samples=100)
+                                 gn_iters=1, seed=0, samples=100)
     assert cfg.csv_name == "results.csv"
     assert cfg.figures == ()
 
@@ -138,7 +138,7 @@ def test_parse_fills_defaults(tmp_path):
     ("steps = 12", "steps = 0"),
     ("samples = 6", "samples = 0"),
     ("kind = mixture", "kind = parametric"),
-    ("steps = 12", "steps = 12\ngn_damping = 0"),
+    ("steps = 12", "steps = 12\ngn_iters = 1.5"),     # budgets are integers
     ("steps = 12", "steps = 12\ngn_iters = -1"),
     ("steps = 12", "steps = 12\nfinal_budget = -1"),
     ("steps = 12", "steps = 12\neci_events = -1"),
@@ -148,7 +148,7 @@ def test_parse_fills_defaults(tmp_path):
     ("samples = 2", "samples = 2\ntol = 1e-8", RD_SMOKE),  # RD uses delta
     ("seed = 3", "seed = 3\ntol = nan"),
     ("steps = 12", "steps = 12\nscheduler_n = inf"),
-    ("steps = 12", "steps = 12\ngn_damping = inf"),
+    ("steps = 12", "steps = 12\ngn_damping = 1e-6"),  # the ridge is no key, whatever its value
     ("b = 0", "b = nan"),
     ("id = smoke", "id = runs/smoke"),          # ids and csv names are file names
     ("csv = smoke.csv", "csv = runs/smoke.csv"),
@@ -200,12 +200,12 @@ def test_malformed_config_exits_2_without_output(tmp_path):
 
 
 @pytest.mark.parametrize("base, old, new", [
-    (SMOKE, "steps = 12", "steps = 12\ngn_damping = 0"),        # checked by GnConfig
+    (SMOKE, "steps = 12", "steps = 12\ngn_iters = -1"),         # checked by SamplerConfig
     (SMOKE, "scales = 0.4", "scales = -1"),                      # by the mixture target
     (RD_SMOKE, "n_t = 2", "n_t = 2\nnu = 0"),                    # by RdProblem
     (RD_SMOKE, "n_t = 2", "n_t = 2\nrho = inf"),
     (RD_SMOKE, "samples = 2", "samples = 2\n[output]\nfigures = trajectory_2d"),
-], ids=["gn_damping", "scales", "nu", "rho", "rd_trajectory_2d"])
+], ids=["gn_iters", "scales", "nu", "rho", "rd_trajectory_2d"])
 def test_out_of_range_setting_exits_2_without_output(tmp_path, base, old, new):
     assert old in base
     out = tmp_path / "out"
@@ -214,6 +214,17 @@ def test_out_of_range_setting_exits_2_without_output(tmp_path, base, old, new):
     assert not out.exists()
     assert main(["run", write_config(tmp_path, base, name="ok.cfg"),
                  "--out-dir", str(out)]) == 0
+
+
+def test_retired_gn_damping_key_exits_2_naming_it(tmp_path, capsys, caplog):
+    # The Gauss-Newton ridge is a constant of the projection module, not a key.
+    cfg = write_config(tmp_path, SMOKE.replace("steps = 12", "steps = 12\ngn_damping = 1e-6"))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="chanceflow"):
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+    assert "unknown keys in [sampler]: ['gn_damping']" in caplog.text
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

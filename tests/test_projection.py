@@ -4,7 +4,7 @@ path-decomposed projection."""
 import numpy as np
 import pytest
 
-from chanceflow import (ConstraintSet, GnConfig, LinearBand, LinearIneq,
+from chanceflow import (ConstraintSet, LinearBand, LinearIneq,
                         MinDistance, SmoothScalar,
                         final_refine, gauss_newton_project, interpolate,
                         max_violation, project, project_decomposed,
@@ -96,11 +96,10 @@ _BLOCK = LinearBand(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]),
 def test_project_dispatch(members, route):
     cs = ConstraintSet(members, tol=1e-9)
     assert cs.orthogonal == (route in ("identity", "closed_form", "one_pass"))
-    gn = GnConfig(max_iters=3)
     rng = stream_rng(41, 6)
     for _ in range(20):
         x = 2.0 * rng.standard_normal(3)
-        got = project(x, cs, gn)
+        got = project(x, cs, 3)
         if route == "identity":
             want = x
         elif route == "closed_form":
@@ -110,7 +109,7 @@ def test_project_dispatch(members, route):
         elif route == "pocs":
             want = project_pocs(x, cs).x_out
         else:
-            want = gauss_newton_project(x, cs, gn).x_out
+            want = gauss_newton_project(x, cs, 3).x_out
         assert np.array_equal(got, want)
 
 
@@ -306,14 +305,14 @@ def test_gn_single_halfspace_close_to_closed_form():
     c = LinearIneq(np.array([1.0, 2.0]), 0.5)
     cs = ConstraintSet((c,))
     x = np.array([2.0, 1.0])
-    report = gauss_newton_project(x, cs, GnConfig(max_iters=1, tol=1e-12))
+    report = gauss_newton_project(x, cs, 1, 1e-12)
     # One ridge-regularized iteration lands within a lambda-sized perturbation.
     assert np.linalg.norm(report.x_out - c.project(x)) <= 1e-5
 
 
 def test_gn_min_distance_reaches_ring():
     cs = ConstraintSet((MinDistance(np.zeros(2), 1.0),))
-    report = gauss_newton_project(np.array([0.5, 0.0]), cs, GnConfig(max_iters=30, tol=1e-10))
+    report = gauss_newton_project(np.array([0.5, 0.0]), cs, 30, 1e-10)
     assert report.converged
     assert np.linalg.norm(report.x_out) >= 1.0 - 1e-8
     assert np.allclose(report.x_out, [1.0, 0.0], atol=1e-6)
@@ -321,7 +320,7 @@ def test_gn_min_distance_reaches_ring():
 
 def test_gn_escapes_min_distance_center():
     cs = ConstraintSet((MinDistance(np.array([0.3, -0.7]), 0.5),))
-    report = gauss_newton_project(np.array([0.3, -0.7]), cs, GnConfig(max_iters=50, tol=1e-10))
+    report = gauss_newton_project(np.array([0.3, -0.7]), cs, 50, 1e-10)
     assert report.converged
     assert np.linalg.norm(report.x_out - [0.3, -0.7]) >= 0.5 - 1e-8
 
@@ -334,13 +333,12 @@ def test_gn_from_min_distance_center_steps_along_center_row(subset):
     k = 0 if subset is None else subset[0]
     x = center.copy() if subset is None else np.array([-0.7, 5.0, 0.3])
     cs = ConstraintSet((MinDistance(center, 0.5, coord_subset=subset),))
-    cfg = GnConfig(max_iters=50, tol=1e-10)
-    report = gauss_newton_project(x, cs, cfg)
+    report = gauss_newton_project(x, cs, 50, 1e-10)
     assert report.converged
     moved = report.x_out - x
     assert moved[k] >= 0.5 - 1e-8
     assert np.array_equal(np.delete(moved, k), np.zeros(x.size - 1))
-    again = gauss_newton_project(x, cs, cfg)
+    again = gauss_newton_project(x, cs, 50, 1e-10)
     assert again.x_out.tobytes() == report.x_out.tobytes()
     assert again.history == report.history
 
@@ -350,7 +348,7 @@ def test_gn_violation_history_nonincreasing_on_convex_set():
         LinearIneq(np.array([1.0, 1.0]), 0.0),
         LinearBand(np.array([1.0, -1.0]), -0.2, 0.2),
     ))
-    report = gauss_newton_project(np.array([2.0, 1.0]), cs, GnConfig(max_iters=40, tol=1e-10))
+    report = gauss_newton_project(np.array([2.0, 1.0]), cs, 40, 1e-10)
     hist = report.history
     assert all(a >= b - 1e-12 for a, b in zip(hist, hist[1:]))
     assert report.converged
@@ -358,9 +356,17 @@ def test_gn_violation_history_nonincreasing_on_convex_set():
 
 def test_gn_reports_budget_exhaustion():
     cs = ConstraintSet((LinearIneq(np.array([1.0]), 0.0),))
-    report = gauss_newton_project(np.array([5.0]), cs, GnConfig(max_iters=0, tol=1e-12))
+    report = gauss_newton_project(np.array([5.0]), cs, 0, 1e-12)
     assert not report.converged
     assert report.iterations == 0
+
+
+@pytest.mark.parametrize("max_iters, tol", [(-1, 1e-10), (30, 0.0), (30, float("nan"))],
+                         ids=["negative_budget", "zero_tol", "nan_tol"])
+def test_gn_rejects_out_of_range_budget_and_tolerance(max_iters, tol):
+    cs = ConstraintSet((LinearIneq(np.array([1.0]), 0.0),))
+    with pytest.raises(ValueError):
+        gauss_newton_project(np.array([5.0]), cs, max_iters, tol)
 
 
 # --- final refinement ---------------------------------------------------------------
@@ -499,7 +505,7 @@ def test_decomposed_gauss_newton_step_evaluates_the_faces_twice(monkeypatch):
         t = rng.uniform(0.1, 1.0)
         x = interpolate(x0, field + 1e-3 * rng.standard_normal(field.size), t)
         calls.clear()
-        out = project_decomposed(x, x0, t, cs, GnConfig(max_iters=1))
+        out = project_decomposed(x, x0, t, cs, 1)
         assert not np.array_equal(out, x)
         assert calls == [(field.size,)] * 2
 
@@ -511,7 +517,6 @@ def test_decomposed_is_bitwise_the_feasibility_checked_formula(scale):
     # back along the path.
     cs, field = rd_set_and_field()
     rng = stream_rng(41, 7)
-    gn = GnConfig(max_iters=1)
     kinds = set()
     for _ in range(20):
         x0 = rng.standard_normal(field.size)
@@ -521,12 +526,12 @@ def test_decomposed_is_bitwise_the_feasibility_checked_formula(scale):
         viol = max_violation(cs, z)
         if viol == 0.0:
             want = x.copy()
-        elif viol > gn.tol:
-            want = interpolate(x0, project(z, cs, gn), t)
+        elif viol > 1e-10:
+            want = interpolate(x0, project(z, cs, 1), t)
         else:
             continue
         kinds.add(viol == 0.0)
-        assert project_decomposed(x, x0, t, cs, gn).tobytes() == want.tobytes()
+        assert project_decomposed(x, x0, t, cs, 1).tobytes() == want.tobytes()
     assert kinds == {scale == 0.0}
 
 
@@ -544,7 +549,7 @@ def test_decomposed_keeps_a_state_the_route_leaves_in_place():
     t = 0.3
     x = interpolate(x0, x1, t)
     z = recover_x1(x, x0, t)
-    assert 0.0 < max_violation(cs, z) <= GnConfig().tol
+    assert 0.0 < max_violation(cs, z) <= 1e-10
     assert not np.array_equal(interpolate(x0, z, t), x)
     out = project_decomposed(x, x0, t, cs)
     assert np.array_equal(out, x)

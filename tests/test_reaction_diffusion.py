@@ -368,13 +368,13 @@ def test_per_step_gauss_newton_may_stop_short_of_the_set(tmp_path, monkeypatch):
         """), encoding="utf-8")
     cfg = parse_config(str(path))
     (scfg,) = cfg.samplers
-    assert scfg.gn.max_iters == 1
+    assert scfg.gn_iters == 1
     calls = []
     real = projection.gauss_newton_project
 
-    def spy(x, cs, gn=projection.GnConfig()):
-        report = real(x, cs, gn)
-        calls.append((gn.max_iters, report))
+    def spy(x, cs, max_iters=30, tol=1e-10):
+        report = real(x, cs, max_iters, tol)
+        calls.append((max_iters, report))
         return report
 
     monkeypatch.setattr(projection, "gauss_newton_project", spy)

@@ -428,6 +428,8 @@ def test_sampler_config_validation():
         SamplerConfig(n_steps=0)
     with pytest.raises(ValueError):
         SamplerConfig(eci_events=-1)
+    with pytest.raises(ValueError):
+        SamplerConfig(gn_iters=-1)
 
 
 def test_every_marginal_set_of_the_mix8_constraints_is_orthogonal():
