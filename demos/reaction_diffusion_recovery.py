@@ -57,8 +57,7 @@ def main() -> int:
     for label, constrained in (("vanilla", False), ("ccfm/pathwise", True)):
         cfg = SamplerConfig(algorithm="ccfm" if constrained else "vanilla",
                             n_steps=50, mode="pathwise", seed=args.seed,
-                            samples=args.samples, gn_iters=1,
-                            final_budget=30)
+                            samples=args.samples)
         records = run_batch(model, cs if constrained else None, cfg)
         finals = np.stack([r.x1 for r in records])
         rows.append((label, *moment_errors(finals, held_out),
@@ -70,8 +69,7 @@ def main() -> int:
         print(f"{label:<15} {mmse:9.4f}  {smse:9.4f}   {cv_ic:9.2e}   {cv_cl:9.2e}")
 
     cfg = SamplerConfig(algorithm="ccfm", n_steps=50, mode="pathwise",
-                        seed=args.seed, samples=1, gn_iters=1,
-                        final_budget=30)
+                        seed=args.seed, samples=1)
     sample = run_batch(model, cs, cfg)[0].x1
     lo = float(min(held_out.min(), sample.min()))
     hi = float(max(held_out.max(), sample.max()))

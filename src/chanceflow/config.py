@@ -14,10 +14,9 @@ Sections and keys::
     [experiment]  id, seed, samples, tol
     [model]       kind = mixture | empirical | reaction_diffusion, + params
     [sampler]     algorithm (one or more), stepper, steps, scheduler_n, mode,
-                  gn_iters, final_budget, eci_events
+                  eci_events
                   (eci ignores stepper; only ccfm reads mode, only eci
-                  eci_events; gn_iters budgets the per-step Gauss-Newton
-                  correction, final_budget the final refinement: see
+                  eci_events; the Gauss-Newton budgets are fixed: see
                   SamplerConfig)
     [constraint.K] kind = halfspace | band | quadratic | min_distance, + params
                   (quadratic: (a.x)^2 <= b, read as the band |a.x| <= sqrt(b))
@@ -54,8 +53,7 @@ _SECTION_KEYS = {
     "experiment": {"id", "seed", "samples", "tol"},
     "model": {"kind", "means", "scales", "weights", "path", "n_s", "n_t",
               "dt_phys", "nu", "rho", "delta", "train_fields", "data_seed"},
-    "sampler": {"algorithm", "stepper", "steps", "scheduler_n", "mode",
-                "gn_iters", "final_budget", "eci_events"},
+    "sampler": {"algorithm", "stepper", "steps", "scheduler_n", "mode", "eci_events"},
     "metrics": {"reference", "reference_samples", "n_projections"},
     "output": {"csv", "figures", "figure_samples"},
 }
@@ -211,8 +209,6 @@ def _sampler_configs(section: _Section, exp: _Section) -> tuple:
         n_steps=section.get_typed("steps", int, default=100),
         scheduler=Scheduler(section.get_typed("scheduler_n", float, default=0.5)),
         mode=section.get("mode", default="marginal"),
-        gn_iters=section.get_typed("gn_iters", int, default=1),
-        final_budget=section.get_typed("final_budget", int, default=30),
         seed=exp.get_typed("seed", int, default=0),
         samples=exp.get_typed("samples", int, default=100),
         eci_events=section.get_typed("eci_events", int, default=2),

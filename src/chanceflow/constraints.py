@@ -201,12 +201,12 @@ class MinDistance:
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float)
-        if center.ndim != 1 or not np.all(np.isfinite(center)):
-            raise ValueError("center must be a finite 1-D vector")
+        if center.ndim != 1 or center.size == 0 or not np.all(np.isfinite(center)):
+            raise ValueError("center must be a finite non-empty 1-D vector")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.coord_subset is not None:
             subset = tuple(int(i) for i in self.coord_subset)
             if len(subset) != center.size:

@@ -12,8 +12,8 @@ use a ridge-regularized Gauss-Newton active-set iteration,
 with hinge residuals r, the active-face Jacobian J recomputed every
 iteration, and one fixed ridge lambda = 1e-6 (_RIDGE) that keeps the Schur
 system SPD. Only the iteration budget and the stopping tolerance vary between
-callers: the per-step correction takes the sampler's gn_iters at 1e-10, and
-the strict terminal refinement takes its own budget at cs.tol/16.
+callers: the samplers' per-step correction takes one update at 1e-10, and
+the strict terminal refinement (final_refine) up to 30 at cs.tol/16.
 
 project(x, cs, gn_iters) is the one place that chooses among these three
 routes, from the set alone. Clean, tightened and transported sets are all

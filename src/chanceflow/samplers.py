@@ -45,6 +45,10 @@ __all__ = [
 ALGORITHMS = ("vanilla", "repeated", "eci", "ccfm")
 MODES = ("marginal", "pathwise")
 
+# A set without closed forms gets one Gauss-Newton update per step; terminal
+# feasibility comes from final_refine at its default budget.
+_STEP_GN_ITERS = 1
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -52,10 +56,9 @@ class SamplerConfig:
 
     eci ignores stepper: it extrapolates with one velocity call per step.
     Only ccfm reads mode (and scheduler, in marginal mode), and only eci
-    reads eci_events, its number of noise-resampling events. gn_iters is the
-    iteration budget of the per-step Gauss-Newton correction (default: a
-    single update); the final refinement takes final_budget iterations at
-    tolerance cs.tol/16. Both use the one ridge of the projection module.
+    reads eci_events, its number of noise-resampling events. The per-step
+    Gauss-Newton correction and the final refinement take fixed budgets (see
+    _STEP_GN_ITERS and final_refine).
     """
 
     algorithm: str = "ccfm"
@@ -63,8 +66,6 @@ class SamplerConfig:
     n_steps: int = 100
     scheduler: Scheduler = Scheduler(0.5)
     mode: str = "marginal"
-    gn_iters: int = 1
-    final_budget: int = 30
     seed: int = 0
     samples: int = 1
     eci_events: int = 2
@@ -78,10 +79,6 @@ class SamplerConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
-        if self.gn_iters < 0:
-            raise ValueError("gn_iters must be non-negative")
-        if self.final_budget < 0:
-            raise ValueError("final_budget must be non-negative")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.eci_events < 0:
@@ -203,7 +200,7 @@ def _sample(model: FlowModel, cs: ConstraintSet | None, cfg: SamplerConfig,
     converged = True
     final_viol = 0.0
     if cs is not None and cs.members:
-        report = final_refine(states[-1], cs, cfg.final_budget)
+        report = final_refine(states[-1], cs)
         states[-1] = report.x_out
         converged = report.converged
         final_viol = report.final_max_violation
@@ -231,7 +228,7 @@ def sample_repeated(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
     early states onto a set meant for t = 1.
     """
     return _sample(model, cs, cfg, sample_index,
-                   lambda x, x0, k: project(x, cs, cfg.gn_iters))
+                   lambda x, x0, k: project(x, cs, _STEP_GN_ITERS))
 
 
 def sample_eci(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
@@ -245,7 +242,7 @@ def sample_eci(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
     sample's own stream.
     """
     return _sample(model, cs, cfg, sample_index,
-                   lambda x, x0, k: project(x, cs, cfg.gn_iters), extrapolate=True)
+                   lambda x, x0, k: project(x, cs, _STEP_GN_ITERS), extrapolate=True)
 
 
 def sample_ccfm(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
@@ -263,10 +260,10 @@ def sample_ccfm(model: FlowModel, cs: ConstraintSet, cfg: SamplerConfig,
     if cfg.mode == "pathwise":
         ts = _time_grid(cfg.n_steps)
         return _sample(model, cs, cfg, sample_index,
-                       lambda x, x0, k: project_decomposed(x, x0, ts[k + 1], cs, cfg.gn_iters))
+                       lambda x, x0, k: project_decomposed(x, x0, ts[k + 1], cs, _STEP_GN_ITERS))
     schedule = _schedule if _schedule is not None else _marginal_schedule(cs, cfg)
     return _sample(model, cs, cfg, sample_index,
-                   lambda x, x0, k: project(x, schedule[k], cfg.gn_iters))
+                   lambda x, x0, k: project(x, schedule[k], _STEP_GN_ITERS))
 
 
 def _one_sample(model, cs, cfg, index: int, schedule) -> SampleRecord:

@@ -45,6 +45,10 @@ figures = trajectory_2d violation_curve
 figure_samples = 3
 """
 
+# SMOKE with a keep-out ball, which ccfm reaches in pathwise mode only.
+BALL_SMOKE = SMOKE.replace("steps = 12", "steps = 12\nmode = pathwise").replace(
+    "[metrics]", "[constraint.ball]\nkind = min_distance\ncenter = 0 0\nradius = 0.5\n\n[metrics]")
+
 # The smallest reaction-diffusion run: a 4 x 2 grid and two training fields.
 RD_SMOKE = """\
 [experiment]
@@ -124,42 +128,48 @@ def test_parse_fills_defaults(tmp_path):
     assert cfg.experiment_id == "tiny"
     (scfg,) = cfg.samplers
     assert scfg == SamplerConfig(algorithm="vanilla", n_steps=100, scheduler=Scheduler(0.5),
-                                 gn_iters=1, seed=0, samples=100)
+                                 seed=0, samples=100)
     assert cfg.csv_name == "results.csv"
     assert cfg.figures == ()
 
 
-@pytest.mark.parametrize("mutation", [
-    ("[experiment]", "[experiments]"),          # unknown section
-    ("seed = 3", "speed = 3"),                  # unknown key
-    ("algorithm = ccfm vanilla", "algorithm = ccfm annealing"),
-    ("figures = trajectory_2d violation_curve", "figures = histogram"),
-    ("a = 1 0", "a = one zero"),                # unparsable vector
-    ("steps = 12", "steps = 0"),
-    ("samples = 6", "samples = 0"),
-    ("kind = mixture", "kind = parametric"),
-    ("steps = 12", "steps = 12\ngn_iters = 1.5"),     # budgets are integers
-    ("steps = 12", "steps = 12\ngn_iters = -1"),
-    ("steps = 12", "steps = 12\nfinal_budget = -1"),
-    ("steps = 12", "steps = 12\neci_events = -1"),
-    ("figure_samples = 3", "figure_samples = 0"),
-    ("n_projections = 16", "n_projections = 0"),
-    ("reference_samples = 32", "reference_samples = 0"),
-    ("samples = 2", "samples = 2\ntol = 1e-8", RD_SMOKE),  # RD uses delta
-    ("seed = 3", "seed = 3\ntol = nan"),
-    ("steps = 12", "steps = 12\nscheduler_n = inf"),
-    ("steps = 12", "steps = 12\ngn_damping = 1e-6"),  # the ridge is no key, whatever its value
-    ("b = 0", "b = nan"),
-    ("id = smoke", "id = runs/smoke"),          # ids and csv names are file names
-    ("csv = smoke.csv", "csv = runs/smoke.csv"),
-    ("algorithm = ccfm vanilla", "algorithm = ccfm vanilla ccfm"),  # would run twice
+def _bad(case_id, old, new, base=SMOKE, match=None):
+    return pytest.param(old, new, base, match, id=case_id)
+
+
+# The ids are explicit, so removing a case renames no other; the numbered
+# ones keep the names they had when the ids were list positions.
+@pytest.mark.parametrize("old, new, base, match", [
+    _bad("mutation0", "[experiment]", "[experiments]"),          # unknown section
+    _bad("mutation1", "seed = 3", "speed = 3"),                  # unknown key
+    _bad("mutation2", "algorithm = ccfm vanilla", "algorithm = ccfm annealing"),
+    _bad("mutation3", "figures = trajectory_2d violation_curve", "figures = histogram"),
+    _bad("mutation4", "a = 1 0", "a = one zero"),                # unparsable vector
+    _bad("mutation5", "steps = 12", "steps = 0"),
+    _bad("mutation6", "samples = 6", "samples = 0"),
+    _bad("mutation7", "kind = mixture", "kind = parametric"),
+    # The Gauss-Newton budgets are constants: their old keys are unknown,
+    # even at the values they used to take.
+    _bad("gn_iters_key", "steps = 12", "steps = 12\ngn_iters = 1", match="gn_iters"),
+    _bad("final_budget_key", "steps = 12", "steps = 12\nfinal_budget = 30",
+         match="final_budget"),
+    _bad("mutation11", "steps = 12", "steps = 12\neci_events = -1"),
+    _bad("mutation12", "figure_samples = 3", "figure_samples = 0"),
+    _bad("mutation13", "n_projections = 16", "n_projections = 0"),
+    _bad("mutation14", "reference_samples = 32", "reference_samples = 0"),
+    _bad("mutation15", "samples = 2", "samples = 2\ntol = 1e-8", RD_SMOKE),  # RD uses delta
+    _bad("mutation16", "seed = 3", "seed = 3\ntol = nan"),
+    _bad("mutation17", "steps = 12", "steps = 12\nscheduler_n = inf"),
+    _bad("mutation18", "steps = 12", "steps = 12\ngn_damping = 1e-6"),  # the ridge is no key
+    _bad("mutation19", "b = 0", "b = nan"),
+    _bad("mutation20", "id = smoke", "id = runs/smoke"),      # ids and csv names are file names
+    _bad("mutation21", "csv = smoke.csv", "csv = runs/smoke.csv"),
+    _bad("mutation22", "algorithm = ccfm vanilla", "algorithm = ccfm vanilla ccfm"),  # runs twice
 ])
-def test_bad_configs_raise(tmp_path, mutation):
-    old, new, *base = mutation
-    text = base[0] if base else SMOKE
-    assert old in text
-    with pytest.raises(ConfigError):
-        parse_config(write_config(tmp_path, text.replace(old, new)))
+def test_bad_configs_raise(tmp_path, old, new, base, match):
+    assert old in base
+    with pytest.raises(ConfigError, match=match):
+        parse_config(write_config(tmp_path, base.replace(old, new)))
 
 
 def test_constrained_algorithm_requires_a_constraint(tmp_path):
@@ -200,12 +210,13 @@ def test_malformed_config_exits_2_without_output(tmp_path):
 
 
 @pytest.mark.parametrize("base, old, new", [
-    (SMOKE, "steps = 12", "steps = 12\ngn_iters = -1"),         # checked by SamplerConfig
+    (SMOKE, "steps = 12", "steps = 12\neci_events = -1"),       # checked by SamplerConfig
     (SMOKE, "scales = 0.4", "scales = -1"),                      # by the mixture target
     (RD_SMOKE, "n_t = 2", "n_t = 2\nnu = 0"),                    # by RdProblem
     (RD_SMOKE, "n_t = 2", "n_t = 2\nrho = inf"),
     (RD_SMOKE, "samples = 2", "samples = 2\n[output]\nfigures = trajectory_2d"),
-], ids=["gn_iters", "scales", "nu", "rho", "rd_trajectory_2d"])
+    (BALL_SMOKE, "radius = 0.5", "radius = nan"),                # by MinDistance
+], ids=["eci_events", "scales", "nu", "rho", "rd_trajectory_2d", "radius"])
 def test_out_of_range_setting_exits_2_without_output(tmp_path, base, old, new):
     assert old in base
     out = tmp_path / "out"
@@ -237,15 +248,7 @@ def test_thread_count_below_one_exits_2_without_output(tmp_path, threads):
 
 def test_out_of_range_coords_exit_2_without_output(tmp_path):
     # coords 5 names a coordinate the 2-D model does not have.
-    text = SMOKE.replace("steps = 12", "steps = 12\nmode = pathwise")
-    text = text.replace("[metrics]", textwrap.dedent("""\
-        [constraint.ball]
-        kind = min_distance
-        center = 0 0
-        radius = 0.5
-        coords = 0 5
-
-        [metrics]"""))
+    text = BALL_SMOKE.replace("radius = 0.5", "radius = 0.5\ncoords = 0 5")
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out-dir", str(out)]) == 2

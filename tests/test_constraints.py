@@ -583,8 +583,15 @@ def test_quadratic_rejects_nonpositive_bound(tmp_path):
 
 
 def test_min_distance_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        MinDistance(np.zeros(2), -1.0)
+    for radius in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="radius"):
+            MinDistance(np.zeros(2), radius)
+
+
+def test_min_distance_rejects_an_empty_center():
+    for subset in (None, ()):
+        with pytest.raises(ValueError, match="center"):
+            MinDistance(np.array([]), 1.0, coord_subset=subset)
 
 
 def test_min_distance_subset_selects_coordinates():

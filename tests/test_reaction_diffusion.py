@@ -1,5 +1,6 @@
 """Reaction-diffusion benchmark: simulator, constraint assembly, and metrics."""
 
+import inspect
 import math
 import textwrap
 
@@ -11,7 +12,7 @@ from chanceflow import (ConstraintSet, EmpiricalTarget, FlowModel, NumericalErro
                         RdGrid, RdProblem, SamplerConfig, SmoothScalar, final_refine,
                         max_violation, moment_errors, rd_constraints, rd_dataset,
                         rd_violation_split, run_batch, simulate_rd)
-from chanceflow import projection
+from chanceflow import projection, samplers
 from chanceflow.config import parse_config
 from chanceflow.constraints import LinearBand, jacobian_active
 from chanceflow.numerics import stream_rng
@@ -333,7 +334,7 @@ def test_ccfm_reaches_exact_ic_band_and_tiny_mass_defect():
     model = FlowModel(EmpiricalTarget(fields[1:]))
     cs = rd_constraints(problems[0])
     cfg = SamplerConfig(algorithm="ccfm", n_steps=30, seed=3, samples=4,
-                        mode="pathwise", final_budget=30)
+                        mode="pathwise")
     records = run_batch(model, cs, cfg)
     cv_ic, cv_cl = rd_violation_split(np.stack([r.x1 for r in records]), cs)
     for rec in records:
@@ -343,10 +344,10 @@ def test_ccfm_reaches_exact_ic_band_and_tiny_mass_defect():
 
 
 def test_per_step_gauss_newton_may_stop_short_of_the_set(tmp_path, monkeypatch):
-    # With gn_iters = 1, as in configs/rd_ccfm.cfg, a per-step Gauss-Newton
-    # pass often ends above its tolerance. That is the configured policy, not
-    # a failure: terminal feasibility comes from final_refine, which every
-    # record reports.
+    # With one update per step (samplers._STEP_GN_ITERS), a per-step
+    # Gauss-Newton pass often ends above its tolerance. That is the policy,
+    # not a failure: terminal feasibility comes from final_refine, at its
+    # default budget, which every record reports.
     path = tmp_path / "rd_small.cfg"
     path.write_text(textwrap.dedent("""\
         [experiment]
@@ -363,12 +364,12 @@ def test_per_step_gauss_newton_may_stop_short_of_the_set(tmp_path, monkeypatch):
         algorithm = ccfm
         mode = pathwise
         steps = 20
-        gn_iters = 1
-        final_budget = 30
         """), encoding="utf-8")
     cfg = parse_config(str(path))
     (scfg,) = cfg.samplers
-    assert scfg.gn_iters == 1
+    step_budget = samplers._STEP_GN_ITERS
+    refine_budget = inspect.signature(projection.final_refine).parameters["budget"].default
+    assert (step_budget, refine_budget) == (1, 30)
     calls = []
     real = projection.gauss_newton_project
 
@@ -379,8 +380,8 @@ def test_per_step_gauss_newton_may_stop_short_of_the_set(tmp_path, monkeypatch):
 
     monkeypatch.setattr(projection, "gauss_newton_project", spy)
     records = run_batch(cfg.model, cfg.cs, scfg)
-    per_step = [report for iters, report in calls if iters == 1]
-    refines = [report for iters, report in calls if iters == scfg.final_budget]
+    per_step = [report for iters, report in calls if iters == step_budget]
+    refines = [report for iters, report in calls if iters == refine_budget]
     assert len(per_step) + len(refines) == len(calls)
     assert len(refines) == len(records)
     assert any(not report.converged for report in per_step)

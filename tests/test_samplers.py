@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from chanceflow import (ConstraintSet, EmpiricalTarget, FlowModel,
-                        GaussianMixtureTarget, LinearBand, LinearIneq, RdGrid,
-                        SamplerConfig, Scheduler, max_violation, rd_constraints,
-                        rd_dataset, run_batch)
-from chanceflow import samplers
+                        GaussianMixtureTarget, LinearBand, LinearIneq, MinDistance,
+                        RdGrid, SamplerConfig, Scheduler, max_violation,
+                        rd_constraints, rd_dataset, run_batch)
+from chanceflow import projection, samplers
 from chanceflow.numerics import stream_rng
 from chanceflow.samplers import (euler_step, heun_step, sample_ccfm,
                                  sample_eci, sample_repeated, sample_vanilla)
@@ -246,11 +246,31 @@ def test_ccfm_early_steps_are_projection_free():
 
 
 def test_ccfm_marginal_rejects_unsupported_kind_upfront():
-    from chanceflow import MinDistance
     cs = ConstraintSet((MinDistance(np.zeros(2), 1.0),))
     cfg = SamplerConfig(algorithm="ccfm", n_steps=10, seed=0, mode="marginal")
     with pytest.raises(ValueError):
         sample_ccfm(TWO_MODE, cs, cfg)
+
+
+@pytest.mark.parametrize("algorithm", ["repeated", "eci"])
+def test_gauss_newton_budgets_are_one_update_per_step_and_30_at_the_end(
+        monkeypatch, algorithm):
+    # A keep-out ball has no closed-form projection, so project sends every
+    # per-step correction to Gauss-Newton: one update at 1e-10. Each record
+    # then gets exactly one strict refinement, 30 iterations at cs.tol/16.
+    cs = ConstraintSet((MinDistance(np.zeros(2), 1.0),))
+    calls = []
+    real = projection.gauss_newton_project
+
+    def spy(x, cs, max_iters=30, tol=1e-10):
+        calls.append((max_iters, tol))
+        return real(x, cs, max_iters, tol)
+
+    monkeypatch.setattr(projection, "gauss_newton_project", spy)
+    cfg = SamplerConfig(algorithm=algorithm, n_steps=8, seed=4, samples=3)
+    records = run_batch(TWO_MODE, cs, cfg)
+    per_record = [(1, 1e-10)] * cfg.n_steps + [(30, cs.tol / 16.0)]
+    assert calls == per_record * len(records)
 
 
 def test_all_four_agree_without_constraints():
@@ -391,9 +411,9 @@ def test_per_step_violations_come_from_one_call_per_record(monkeypatch, algorith
         seen.append(np.array(x))
         return real_violation(cs, x)
 
-    def spy_refine(x, cs, budget):
+    def spy_refine(x, cs):
         refined.append(np.array(x))
-        return real_refine(x, cs, budget)
+        return real_refine(x, cs)
 
     monkeypatch.setattr(samplers, "max_violation", spy_violation)
     monkeypatch.setattr(samplers, "final_refine", spy_refine)
@@ -428,8 +448,6 @@ def test_sampler_config_validation():
         SamplerConfig(n_steps=0)
     with pytest.raises(ValueError):
         SamplerConfig(eci_events=-1)
-    with pytest.raises(ValueError):
-        SamplerConfig(gn_iters=-1)
 
 
 def test_every_marginal_set_of_the_mix8_constraints_is_orthogonal():
