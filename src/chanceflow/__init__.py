@@ -3,9 +3,9 @@
 The package couples exact flow-matching velocity fields for finite-atom and
 Gaussian-mixture targets with constraint machinery that keeps samples inside
 a feasible set: time-dependent chance-constraint tightening, pathwise
-constraint transport, and Gauss-Newton / cyclic projection operators. A small
-reaction-diffusion benchmark and a config-driven experiment runner sit on
-top.
+constraint transport, and closed-form, least-distance and Gauss-Newton
+projection operators. A small reaction-diffusion benchmark and a
+config-driven experiment runner sit on top.
 """
 
 from .chance import Scheduler, sigma_of_t, tighten_set, transport_set

@@ -1,4 +1,5 @@
-"""Low-level numerical kernels: normal quantiles, seeded RNG streams, SPD solves.
+"""Low-level numerical kernels: normal quantiles, seeded RNG streams, SPD
+solves and least-distance solves.
 
 Everything downstream (constraint tightening, projections, samplers, the
 reaction-diffusion simulator) routes its probability and linear-algebra needs
@@ -6,6 +7,7 @@ through this module so that accuracy and determinism are pinned in exactly one
 place. Cholesky factors and solves call LAPACK dpotrf/dpotrs directly, with
 the flags scipy.linalg.cho_factor/cho_solve pass (upper triangle, factor not
 cleaned), so they give the same bytes without SciPy's array-API wrappers.
+Least-distance problems go through SciPy's NNLS (Lawson-Hanson).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.optimize import nnls
 
 from .errors import NumericalError
 
@@ -22,6 +25,7 @@ __all__ = [
     "normal_quantile",
     "stream_rng",
     "solve_spd",
+    "least_distance",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -144,3 +148,38 @@ def solve_spd(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     if float(np.linalg.norm(resid)) > tol:
         raise NumericalError("solve_spd: residual contract not met (system too ill-conditioned)")
     return y
+
+
+def least_distance(a: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+    """Shortest u with a @ u <= h for nonzero rows a (m, n) and h (m,), or
+    None when no u meets every row.
+
+    Least-distance programming (Lawson & Hanson, Solving Least Squares
+    Problems, ch. 23): with E = -[a^T; h^T] and f = e_{n+1}, the NNLS
+    residual r = E w - f of min ||E w - f|| over w >= 0 gives u = -r[:n] / r[n],
+    and r[n] = -||r||^2 is zero exactly when the rows are inconsistent. The
+    rows are first scaled to unit length and h to largest magnitude 1, so the
+    NNLS data are of order one, and u is scaled back. An h >= 0 gives u = 0.
+    An r[n] within the rounding bound of its own sum, (m + 1) eps (1 + sum w),
+    counts as zero. A nearly inconsistent system can still leave u short of
+    some rows, so callers check the faces they solved for. An NNLS iteration
+    cap raises NumericalError.
+    """
+    a = np.asarray(a, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if (h >= 0.0).all():
+        return np.zeros(a.shape[1])
+    norms = np.sqrt(np.vecdot(a, a))
+    h = h / norms
+    scale = np.abs(h).max()
+    e = -np.vstack([(a / norms[:, None]).T, h / scale])
+    f = np.zeros(len(e))
+    f[-1] = 1.0
+    try:
+        w, _ = nnls(e, f)
+    except RuntimeError as exc:
+        raise NumericalError(f"least_distance: {exc}") from exc
+    r = e @ w - f
+    if -r[-1] <= (len(w) + 1) * np.finfo(float).eps * (1.0 + w.sum()):
+        return None
+    return (-scale / r[-1]) * r[:-1]

@@ -2,10 +2,10 @@
 
 Single halfspaces and slabs project in closed form; an intersection of them
 with mutually orthogonal rows takes one pass of those clips, as none moves
-another member's faces. Other intersections go through cyclic projections
-with Dykstra corrections (plain cyclic projection finds a feasible point,
-the corrections make its limit the nearest one). General constraint sets
-use a ridge-regularized Gauss-Newton active-set iteration,
+another member's faces. Other intersections are one least-distance problem
+in the move u, solved exactly in finitely many steps through NNLS
+(numerics.least_distance). General constraint sets use a ridge-regularized
+Gauss-Newton active-set iteration,
 
     x <- x - J^T (J J^T + lambda I)^{-1} r,
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .constraints import ConstraintSet, hinge_max, jacobian_active, max_violation
 from .flow import interpolate, recover_x1
-from .numerics import solve_spd
+from .numerics import least_distance, solve_spd
 
 __all__ = [
     "ProjectionReport",
@@ -39,7 +39,6 @@ __all__ = [
     "project_decomposed",
 ]
 
-_POCS_CYCLES = 500
 _RIDGE = 1e-6
 
 
@@ -64,31 +63,31 @@ def project(x: np.ndarray, cs: ConstraintSet, gn_iters: int = 30) -> np.ndarray:
 
     An orthogonal set (cs.orthogonal, as any set of at most one closed-form
     member is) takes one pass of its members' closed forms in declaration
-    order; other closed-form sets go through Dykstra's cyclic projection;
-    any other set takes a Gauss-Newton pass of at most gn_iters iterations.
+    order; other closed-form sets take one least-distance solve
+    (project_pocs); any other set takes a Gauss-Newton pass of at most
+    gn_iters iterations.
     """
     if cs.orthogonal:
         for member in cs.members:
             x = member.project(x)
         return x
     if cs.all_closed_form:
-        return project_pocs(x, cs, _POCS_CYCLES).x_out
+        return project_pocs(x, cs).x_out
     return gauss_newton_project(x, cs, gn_iters).x_out
 
 
-def project_pocs(x: np.ndarray, cs: ConstraintSet,
-                 max_cycles: int = _POCS_CYCLES) -> ProjectionReport:
-    """Nearest point in an intersection of halfspaces/slabs (Dykstra).
+def project_pocs(x: np.ndarray, cs: ConstraintSet) -> ProjectionReport:
+    """Nearest point in an intersection of halfspaces/slabs, in one solve.
 
-    An x on which every face is <= 0.0 (an empty set included) is returned
-    as a copy with 0 cycles and history (0.0,): a cycle over it would move
-    nothing. A state violating by no more than cs.tol is still projected.
-    Otherwise cycles through the members of cs in declaration order, each
-    time projecting the current iterate plus its accumulated correction;
-    converges to the Euclidean projection for consistent convex sets. Stops
-    once max_violation is within cs.tol and a cycle moves the iterate by no
-    more than cs.tol (relative). Non-convergence within max_cycles is
-    reported, not raised.
+    Every face is linear, g(x + u) = g(x) + A u with A the members' stacked
+    Jacobian rows, so the projection is x + u for the shortest u with
+    A u <= -g(x) (numerics.least_distance): exact up to rounding, with no
+    iteration cap. An x on which every face is <= 0.0 (an empty set
+    included) is returned as a copy with 0 iterations and history (0.0,). A
+    state violating by no more than cs.tol is still projected, as one
+    iteration. An inconsistent set, or a solved point still violating by
+    more than cs.tol, is reported as a copy of x with converged=False, not
+    raised; an NNLS failure raises NumericalError.
     """
     x0 = np.asarray(x, dtype=float)
     members = cs.members
@@ -96,23 +95,17 @@ def project_pocs(x: np.ndarray, cs: ConstraintSet,
         if not c.has_closed_projection:
             raise TypeError(
                 f"{type(c).__name__} has no closed-form projection; use gauss_newton_project")
-    viol = max_violation(cs, x0)
+    vals = cs.face_values(x0)
+    viol = hinge_max(vals)
     if viol == 0.0:
         return ProjectionReport(x0.copy(), 0, 0.0, True, (0.0,))
-    cur = x0.copy()
-    corrections = [np.zeros_like(cur) for _ in members]
-    history = []
-    for cycle in range(1, int(max_cycles) + 1):
-        prev = cur
-        for i, c in enumerate(members):
-            shifted = cur + corrections[i]
-            cur = c.project(shifted)
-            corrections[i] = shifted - cur
-        viol = max_violation(cs, cur)
-        history.append(viol)
-        if viol <= cs.tol and np.linalg.norm(cur - prev) <= cs.tol * (1.0 + np.linalg.norm(cur)):
-            return ProjectionReport(cur, cycle, viol, True, tuple(history))
-    return ProjectionReport(cur, int(max_cycles), viol, viol <= cs.tol, tuple(history))
+    u = least_distance(np.concatenate([c.jacobian(x0) for c in members]), -vals)
+    if u is not None:
+        y = x0 + u
+        after = max_violation(cs, y)
+        if after <= cs.tol:
+            return ProjectionReport(y, 1, after, True, (viol, after))
+    return ProjectionReport(x0.copy(), 1, viol, False, (viol, viol))
 
 
 def gauss_newton_project(x: np.ndarray, cs: ConstraintSet, max_iters: int = 30,

@@ -25,8 +25,9 @@ from .chance import Scheduler, tighten_set
 from .constraints import ConstraintSet, max_violation
 from .flow import FlowModel, interpolate
 from .numerics import stream_rng
-# project_pocs and gauss_newton_project are reached through project; they
-# stay importable here because perfbench/spans.py hooks them at this site.
+# project_pocs (the least-distance solve for non-orthogonal linear sets) and
+# gauss_newton_project are reached through project; they stay importable here,
+# under these names, because perfbench/spans.py hooks them at this site.
 from .projection import (final_refine, gauss_newton_project,  # noqa: F401
                          project, project_decomposed, project_pocs)
 

@@ -129,18 +129,21 @@ def pathwise_projection_commutes():
 
 
 @_check
-def dykstra_matches_kkt_enumeration():
+def least_distance_matches_kkt_enumeration():
     rng = stream_rng(16, 0)
+    band = LinearBand(np.array([1.0, 0.5]), -0.8, 0.6)
     members = (LinearIneq(np.array([1.0, 0.0]), 0.0),
                LinearIneq(np.array([0.6, 0.8]), -0.1),
-               LinearIneq(np.array([-0.2, 1.0]), 0.3))
+               LinearIneq(np.array([-0.2, 1.0]), 0.3),
+               band)
+    halfspaces = members[:3] + (LinearIneq(-band.a, -band.lo), LinearIneq(band.a, band.hi))
     cs = ConstraintSet(members, tol=1e-12)
     for _ in range(25):
         x = 2.0 * rng.standard_normal(2)
-        got = project_pocs(x, cs, 2000).x_out
-        expect = halfspace_qp_project(x, members)
-        _assert(np.allclose(got, expect, atol=1e-8),
-                "cyclic projection disagrees with KKT enumeration")
+        got = project_pocs(x, cs).x_out
+        expect = halfspace_qp_project(x, halfspaces)
+        _assert(np.allclose(got, expect, rtol=0.0, atol=1e-12),
+                "least-distance projection disagrees with KKT enumeration")
 
 
 @_check

@@ -343,7 +343,7 @@ def test_band_block_tightens_and_transports_row_by_row():
 
 def test_lone_tightened_band_projects_by_its_clip():
     # A set holding one tightened band takes the band's exact clip, which
-    # lands where Dykstra's cycle over its two sides does.
+    # lands where the least-distance solve over its two sides does.
     rng = stream_rng(31, 7)
     checked = 0
     for _ in range(500):

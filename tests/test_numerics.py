@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chanceflow import NumericalError, normal_cdf, normal_quantile, solve_spd, stream_rng
 from chanceflow.constraints import jacobian_active
-from chanceflow.numerics import _cho_factor, _cho_solve
+from chanceflow.numerics import _cho_factor, _cho_solve, least_distance
 from chanceflow.reaction_diffusion import RdGrid, rd_constraints, sample_rd_problem, simulate_rd
 
 
@@ -235,11 +235,19 @@ def test_solve_spd_of_an_empty_system_is_empty():
     assert y.shape == (0,) and y.dtype == float
 
 
+def test_least_distance_moves_least_and_detects_inconsistent_rows():
+    a = np.array([[2.0, 0.0]])
+    assert np.array_equal(least_distance(a, np.array([1.0])), [0.0, 0.0])
+    assert np.allclose(least_distance(a, np.array([-1.0])), [-0.5, 0.0], rtol=0.0, atol=1e-15)
+    # x <= -1 and x >= 1: the NNLS residual vanishes, so no u exists.
+    assert least_distance(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])) is None
+
+
 # --- numerics is the one place for linear algebra ------------------------------
 
 
-def scipy_linalg_imports(path):
-    """Line numbers of every import of scipy.linalg (or a submodule) in a file."""
+def scipy_imports(path, package):
+    """Line numbers of every import of a SciPy package (or a submodule) in a file."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -248,15 +256,20 @@ def scipy_linalg_imports(path):
             names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+        if any(n == package or n.startswith(package + ".") for n in names):
             lines.append(node.lineno)
     return lines
 
 
 def test_only_numerics_imports_scipy_linalg():
+    # Every linear solve lives in numerics, the one importer of scipy.linalg.
+    # scipy.optimize holds NNLS, for numerics, and SLSQP, for the oracles.
     package = pathlib.Path(__file__).resolve().parents[1] / "src" / "chanceflow"
     modules = sorted(package.glob("*.py"))
-    assert package / "numerics.py" in modules
-    assert scipy_linalg_imports(package / "numerics.py")
-    offenders = {p.name: scipy_linalg_imports(p) for p in modules if p.name != "numerics.py"}
-    assert not {name: lines for name, lines in offenders.items() if lines}
+    for scipy_package, owners in (("scipy.linalg", {"numerics.py"}),
+                                  ("scipy.optimize", {"numerics.py", "oracles.py"})):
+        for owner in owners:
+            assert scipy_imports(package / owner, scipy_package), (owner, scipy_package)
+        offenders = {p.name: scipy_imports(p, scipy_package) for p in modules
+                     if p.name not in owners}
+        assert not {name: lines for name, lines in offenders.items() if lines}, scipy_package

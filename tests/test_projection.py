@@ -1,14 +1,16 @@
-"""Projection operators: closed forms, Dykstra cycles, Gauss-Newton, and the
-path-decomposed projection."""
+"""Projection operators: closed forms, the least-distance solve, Gauss-Newton,
+and the path-decomposed projection."""
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from chanceflow import (ConstraintSet, LinearBand, LinearIneq,
-                        MinDistance, SmoothScalar,
+                        MinDistance, NumericalError, OracleFailure, SmoothScalar,
                         final_refine, gauss_newton_project, interpolate,
                         max_violation, project, project_decomposed,
                         project_pocs, recover_x1, transport_set)
+from chanceflow import numerics as numerics_module
 from chanceflow import projection as projection_module
 from chanceflow.chance import tighten_linear
 from chanceflow.oracles import halfspace_qp_project
@@ -59,7 +61,7 @@ def test_project_band_linear_band():
 
 
 def test_closed_forms_reject_foreign_types():
-    # Dykstra cycles only through members with a closed-form projection.
+    # The least-distance solve takes only members with linear faces.
     with pytest.raises(TypeError):
         project_pocs(np.zeros(1), ConstraintSet((
             SmoothScalar(1, lambda x: float(x[0] ** 2) - 1.0, lambda x: 2.0 * x),)))
@@ -181,16 +183,17 @@ def test_member_order_changes_the_one_pass_only_within_rounding():
                            rtol=0.0, atol=1e-14 * (1.0 + np.linalg.norm(x)))
 
 
-def test_rows_orthogonal_only_to_rounding_go_to_dykstra(monkeypatch):
+def test_rows_orthogonal_only_to_rounding_go_to_least_distance(monkeypatch):
     # Rows from a QR factorization are orthogonal only up to rounding, and
-    # e3 + 2^-40 e1 misses e1 by one Gram entry: both sets take Dykstra.
+    # e3 + 2^-40 e1 misses e1 by one Gram entry: both sets take the
+    # least-distance solve.
     rotated = np.linalg.qr(stream_rng(43, 6).standard_normal((3, 3)))[0]
     nearly = np.eye(3)
     nearly[2, 0] = 2.0 ** -40
     calls = []
-    dykstra = projection_module.project_pocs
+    solve = projection_module.project_pocs
     monkeypatch.setattr(projection_module, "project_pocs",
-                        lambda *args: calls.append(args) or dykstra(*args))
+                        lambda *args: calls.append(args) or solve(*args))
     for rows in (rotated, nearly):
         assert (rows @ rows.T)[~np.eye(3, dtype=bool)].any()
         cs = ConstraintSet(tuple(LinearIneq(r, -0.1) for r in rows), tol=1e-10)
@@ -199,10 +202,53 @@ def test_rows_orthogonal_only_to_rounding_go_to_dykstra(monkeypatch):
         calls.clear()
         got = project(x, cs)
         assert len(calls) == 1
-        assert np.array_equal(got, dykstra(x, cs).x_out)
+        assert np.array_equal(got, solve(x, cs).x_out)
 
 
-# --- cyclic projections ---------------------------------------------------------
+# --- the least-distance solve -----------------------------------------------------
+
+
+def _halfspaces(members):
+    """The faces of halfspaces and bands as halfspaces, for the KKT oracle."""
+    out = []
+    for c in members:
+        if isinstance(c, LinearIneq):
+            out.append(c)
+            continue
+        for a, lo, hi in zip(np.atleast_2d(c.a), np.atleast_1d(c.lo), np.atleast_1d(c.hi)):
+            out += [LinearIneq(-a, -lo), LinearIneq(a, hi)]
+    return out
+
+
+def _assert_kkt(cs, x, y):
+    """y is the projection of x onto the linear set cs: y meets cs.tol, and
+    x - y = A^T lam for multipliers lam >= 0 on the faces y lies on, so that
+    every face has lam_i g_i(y) = 0 up to rounding."""
+    scale = 1.0 + np.linalg.norm(x)
+    vals = cs.face_values(y)
+    assert max_violation(cs, y) <= cs.tol
+    rows = np.concatenate([c.jacobian(y) for c in cs.members])
+    on = vals >= -1e-9 * scale
+    lam = np.zeros(len(vals))
+    if on.any():  # SciPy's nnls aborts the process on a matrix with no columns
+        lam[on] = scipy.optimize.nnls(rows[on].T, x - y)[0]
+    assert (lam >= 0.0).all()
+    assert np.linalg.norm(rows.T @ lam - (x - y)) <= 1e-12 * scale
+    assert np.abs(lam * vals).max() <= 1e-12 * scale
+
+
+def _random_linear_set(rng, d):
+    """2-4 members on random, non-orthogonal rows of R^d, halfspaces and
+    one-row bands in random order."""
+    members = []
+    for _ in range(int(rng.integers(2, 5))):
+        a = rng.standard_normal(d)
+        if rng.random() < 0.5:
+            members.append(LinearIneq(a, rng.uniform(-1.0, 1.0)))
+        else:
+            lo, hi = sorted(rng.uniform(-1.5, 1.5, size=2))
+            members.append(LinearBand(a, lo, hi))
+    return ConstraintSet(tuple(members), tol=1e-10)
 
 
 def test_pocs_single_halfspace_matches_closed_form():
@@ -230,31 +276,84 @@ def test_pocs_matches_kkt_solve_on_oblique_pair():
 
 
 def test_pocs_matches_kkt_solve_on_random_instances():
+    # Triples of halfspaces in 3-D, then 8-D sets mixing halfspaces and bands.
     rng = stream_rng(41, 0)
+    cases = []
     for _ in range(30):
-        cons = [LinearIneq(rng.standard_normal(3), rng.uniform(-0.5, 0.5))
-                for _ in range(3)]
-        x = 2.0 * rng.standard_normal(3)
+        cons = tuple(LinearIneq(rng.standard_normal(3), rng.uniform(-0.5, 0.5))
+                     for _ in range(3))
+        cases.append((ConstraintSet(cons, tol=1e-10), 2.0 * rng.standard_normal(3)))
+    for _ in range(300):
+        cs = _random_linear_set(rng, 8)
+        cases.append((cs, 2.0 * rng.standard_normal(8)))
+    checked = 0
+    for cs, x in cases:
+        assert not cs.orthogonal
+        report = project_pocs(x, cs)
         try:
-            want = halfspace_qp_project(x, cons)
-        except Exception:
-            continue  # randomly inconsistent triple; Dykstra has no target
-        report = project_pocs(x, ConstraintSet(cons, tol=1e-10))
-        assert np.linalg.norm(report.x_out - want) <= 1e-8
+            want = halfspace_qp_project(x, _halfspaces(cs.members))
+        except OracleFailure:
+            assert not report.converged  # an inconsistent set has no projection
+            continue
+        assert report.converged
+        assert np.linalg.norm(report.x_out - want) <= 1e-12 * (1.0 + np.linalg.norm(x))
+        _assert_kkt(cs, x, report.x_out)
+        checked += 1
+    assert checked >= 300
 
 
-def test_pocs_stops_at_the_set_tolerance():
-    # Two boundaries 6 degrees apart: Dykstra converges slowly to their
-    # apex, so a looser cs.tol must stop it in fewer cycles, each report
-    # within its own set's tolerance.
+def test_pocs_lands_on_the_apex_at_every_tolerance():
+    # Two boundaries 6 degrees apart: x projects onto their apex, and the
+    # solve reaches it whatever the set's tolerance.
     cons = (LinearIneq(np.array([1.0, 0.05]), 0.0), LinearIneq(np.array([1.0, -0.05]), 0.0))
-    x = np.array([1.0, 0.01])  # projects onto the apex
-    loose = project_pocs(x, ConstraintSet(cons, tol=1e-4))
-    tight = project_pocs(x, ConstraintSet(cons, tol=1e-8))
-    assert loose.converged
-    assert loose.final_max_violation <= 1e-4
-    assert tight.final_max_violation <= 1e-8
-    assert loose.iterations < tight.iterations
+    x = np.array([1.0, 0.01])
+    want = halfspace_qp_project(x, cons)
+    for tol in (1e-4, 1e-8):
+        cs = ConstraintSet(cons, tol=tol)
+        report = project_pocs(x, cs)
+        assert report.converged and report.iterations == 1
+        assert np.linalg.norm(report.x_out - want) <= 1e-12 * (1.0 + np.linalg.norm(x))
+        _assert_kkt(cs, x, report.x_out)
+
+
+def test_pocs_degenerate_sets_match_the_oracle():
+    # A zero-width band (two faces on one line) with an oblique halfspace,
+    # and a halfspace listed twice: dependent faces, one projection.
+    half = LinearIneq(np.array([1.0, 0.2]), 0.1)
+    sets = (ConstraintSet((LinearBand(np.array([1.0, 1.0]), 0.3, 0.3),
+                           LinearIneq(np.array([1.0, -0.4]), 0.1)), tol=1e-10),
+            ConstraintSet((half, half, LinearIneq(np.array([-0.3, 1.0]), 0.2)), tol=1e-10))
+    rng = stream_rng(41, 8)
+    for cs in sets:
+        assert not cs.orthogonal
+        for _ in range(20):
+            x = 2.0 * rng.standard_normal(2)
+            report = project_pocs(x, cs)
+            want = halfspace_qp_project(x, _halfspaces(cs.members))
+            assert np.linalg.norm(report.x_out - want) <= 1e-12
+            _assert_kkt(cs, x, report.x_out)
+
+
+def test_pocs_reports_an_inconsistent_set_unconverged():
+    # x <= -1 and x >= 2 share no point: the state comes back unmoved.
+    cs = ConstraintSet((LinearIneq(np.array([1.0]), -1.0), LinearIneq(np.array([-1.0]), -2.0)))
+    for x in (np.array([0.0]), np.array([-3.0]), np.array([5.0])):
+        report = project_pocs(x, cs)
+        assert not report.converged and report.iterations == 1
+        assert np.array_equal(report.x_out, x) and report.x_out is not x
+        assert report.final_max_violation == max_violation(cs, x)
+        assert np.array_equal(project(x, cs), x)
+
+
+def test_pocs_raises_when_nnls_fails(monkeypatch):
+    def capped(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(numerics_module, "nnls", capped)
+    cs = ConstraintSet((LinearIneq(np.array([1.0, 0.2]), 0.0),
+                        LinearIneq(np.array([-0.3, 1.0]), -0.1)))
+    with pytest.raises(NumericalError):
+        project(np.array([1.0, 1.2]), cs)
 
 
 def test_pocs_feasible_input_is_returned_with_zero_cycles():
@@ -275,11 +374,13 @@ def test_pocs_feasible_input_is_returned_with_zero_cycles():
     # On the boundary every face is <= 0.0, so nothing moves either.
     on_edge = project_pocs(np.array([0.0, 1.0]), cs)
     assert on_edge.iterations == 0 and np.array_equal(on_edge.x_out, [0.0, 1.0])
-    # A violation inside (0, tol] is not an exit: one cycle moves it onto
+    # A violation inside (0, tol] is not an exit: one solve moves it onto
     # the face.
-    inside_tol = project_pocs(np.array([1e-12, 0.0]), cs)
+    x = np.array([1e-12, 0.0])
+    inside_tol = project_pocs(x, cs)
     assert inside_tol.iterations == 1
-    assert np.array_equal(inside_tol.x_out, [0.0, 0.0])
+    assert np.linalg.norm(inside_tol.x_out - halfspace_qp_project(x, _halfspaces(cs.members))) <= 1e-12
+    _assert_kkt(cs, x, inside_tol.x_out)
 
 
 def test_pocs_empty_input_is_identity():
