@@ -10,7 +10,20 @@ implements one interface:
 - jacobian(x) gives the gradient rows of one state as an (n_faces, d)
   matrix, defined at every finite state (MinDistance's center included);
 - project(x), on the families with has_closed_projection, is the exact
-  Euclidean projection of one state.
+  Euclidean projection of one state;
+- row_block(x, local) gives the gradient rows of the listed faces of one
+  state as a row block (below), which Gauss-Newton reads J J^T and J^T y
+  from without stacking the rows into one dense matrix.
+
+A row block holds the rows R of some faces and offers at(cols) (the entries
+R[:, cols]), dense() (R itself), gram() (R R^T) and rmatvec(y) (R^T y). A
+LinearIneq or LinearBand all of whose rows have exactly one nonzero entry
+(detected from its coefficients at construction) gives a CoordinateRows
+block of (column, coefficient) pairs: its Gram entries and its cross block
+with any other block are single exact products, and R^T y is a scatter-add.
+Other kinds give DenseRows of their jacobian, unless they supply a
+structured block of their own (the reaction-diffusion mass law does).
+ActiveRows assembles the blocks of a set's active faces.
 
 A LinearBand holds one row or a block of k rows whose A A^T is diagonal
 (checked exactly at construction): its faces are one row-wise dot product,
@@ -40,6 +53,9 @@ __all__ = [
     "MinDistance",
     "SmoothScalar",
     "ConstraintSet",
+    "DenseRows",
+    "CoordinateRows",
+    "ActiveRows",
     "jacobian_active",
     "hinge_max",
     "max_violation",
@@ -68,6 +84,24 @@ def _orthogonal(rows: np.ndarray) -> bool:
     return not (rows @ rows.T)[~np.eye(len(rows), dtype=bool)].any()
 
 
+def _coordinates(jac: np.ndarray) -> tuple | None:
+    """(columns, coefficients) of the face rows jac when every row has
+    exactly one nonzero entry, else None. No row is zero (_coefficients),
+    so that holds exactly when jac has one nonzero entry per row in all."""
+    nonzero = jac != 0.0
+    if np.count_nonzero(nonzero) != len(jac):
+        return None
+    cols = np.argmax(nonzero, axis=1)
+    return cols, jac[np.arange(len(jac)), cols]
+
+
+def _linear_rows(jac: np.ndarray, coords: tuple | None, local) -> DenseRows | CoordinateRows:
+    if coords is None:
+        return DenseRows(jac[local])
+    cols, coef = coords
+    return CoordinateRows(cols[local], coef[local], jac.shape[1])
+
+
 @dataclass(frozen=True)
 class LinearIneq:
     """Halfspace a.x <= b."""
@@ -80,6 +114,7 @@ class LinearIneq:
         object.__setattr__(self, "b", float(self.b))
         if np.isnan(self.b):
             raise ValueError("halfspace bound must not be NaN")
+        object.__setattr__(self, "_coords", _coordinates(self.a[None, :]))
 
     @property
     def dim(self):
@@ -93,6 +128,9 @@ class LinearIneq:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.a[None, :].copy()
+
+    def row_block(self, x: np.ndarray, local) -> DenseRows | CoordinateRows:
+        return _linear_rows(self.a[None, :], self._coords, local)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         s = float(self.a @ x) - self.b
@@ -141,6 +179,7 @@ class LinearBand:
         object.__setattr__(self, "_hi", hi.reshape(k))
         object.__setattr__(self, "_sq", np.vecdot(rows, rows))
         object.__setattr__(self, "_jac", jac)
+        object.__setattr__(self, "_coords", _coordinates(jac))
 
     @property
     def dim(self):
@@ -162,6 +201,9 @@ class LinearBand:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self._jac
+
+    def row_block(self, x: np.ndarray, local) -> DenseRows | CoordinateRows:
+        return _linear_rows(self._jac, self._coords, local)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         s = np.vecdot(x, self._rows)
@@ -241,6 +283,9 @@ class MinDistance:
         grad[... if self.coord_subset is None else list(self.coord_subset)] = row
         return grad[None, :]
 
+    def row_block(self, x: np.ndarray, local) -> DenseRows:
+        return DenseRows(self.jacobian(x)[local])
+
 
 @dataclass(frozen=True)
 class SmoothScalar:
@@ -316,6 +361,9 @@ class SmoothScalar:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self._shaped(self.grad(x), (self.n_faces, self.dim), "gradient")
+
+    def row_block(self, x: np.ndarray, local) -> DenseRows:
+        return DenseRows(self.jacobian(x)[local])
 
 
 CONSTRAINT_KINDS = (LinearIneq, LinearBand, MinDistance, SmoothScalar)
@@ -413,6 +461,88 @@ def jacobian_active(cs: ConstraintSet, x, active) -> np.ndarray:
         mine = owner == i
         rows[mine] = cs.members[i].jacobian(x)[local[mine]]
     return rows
+
+
+class DenseRows:
+    """A row block held as its (n, d) rows."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def at(self, cols) -> np.ndarray:
+        return self.rows[:, cols]
+
+    def dense(self) -> np.ndarray:
+        return self.rows
+
+    def gram(self) -> np.ndarray:
+        return self.rows @ self.rows.T
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return self.rows.T @ y
+
+
+class CoordinateRows:
+    """A row block whose row i is coef[i] on column cols[i] and zero
+    elsewhere, in dimension d."""
+
+    def __init__(self, cols: np.ndarray, coef: np.ndarray, d: int):
+        self.cols = cols
+        self.coef = coef
+        self.d = d
+
+    def at(self, cols) -> np.ndarray:
+        return np.where(self.cols[:, None] == cols, self.coef[:, None], 0.0)
+
+    def dense(self) -> np.ndarray:
+        return self.at(np.arange(self.d))
+
+    def gram(self) -> np.ndarray:
+        return _cross(self, self)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cols, weights=self.coef * y, minlength=self.d)
+
+
+def _cross(p, q) -> np.ndarray:
+    """The cross block P Q^T of two row blocks. With a coordinate block on
+    either side each entry is one product, exactly the dense dot product;
+    two other blocks fall back to their dense rows."""
+    if isinstance(q, CoordinateRows):
+        return p.at(q.cols) * q.coef
+    if isinstance(p, CoordinateRows):
+        return (q.at(p.cols) * p.coef).T
+    return p.dense() @ q.dense().T
+
+
+class ActiveRows:
+    """The Jacobian J of one state's listed faces, held as one row block per
+    run of faces owned by the same member and never stacked into one matrix:
+    gram() is J J^T and rmatvec(y) is J^T y, for the J that
+    jacobian_active(cs, x, active) stacks densely.
+    """
+
+    def __init__(self, cs: ConstraintSet, x: np.ndarray, active: np.ndarray):
+        if len(active) == 0:
+            raise ValueError("ActiveRows requires a nonempty active list")
+        owner = cs._face_owner[active]
+        local = cs._face_local[active]
+        bounds = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), len(active)]
+        self._spans = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self._blocks = [cs.members[owner[s.start]].row_block(x, local[s]) for s in self._spans]
+        self._n = len(active)
+
+    def gram(self) -> np.ndarray:
+        out = np.empty((self._n, self._n))
+        for i, (si, p) in enumerate(zip(self._spans, self._blocks)):
+            out[si, si] = p.gram()
+            for sj, q in zip(self._spans[i + 1:], self._blocks[i + 1:]):
+                out[si, sj] = cross = _cross(p, q)
+                out[sj, si] = cross.T
+        return out
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return sum(block.rmatvec(y[s]) for s, block in zip(self._spans, self._blocks))
 
 
 def hinge_max(vals: np.ndarray) -> float:

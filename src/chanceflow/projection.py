@@ -9,11 +9,15 @@ Gauss-Newton active-set iteration,
 
     x <- x - J^T (J J^T + lambda I)^{-1} r,
 
-with hinge residuals r, the active-face Jacobian J recomputed every
+with hinge residuals r, the active faces' Jacobian J re-evaluated every
 iteration, and one fixed ridge lambda = 1e-6 (_RIDGE) that keeps the Schur
-system SPD. Only the iteration budget and the stopping tolerance vary between
-callers: the samplers' per-step correction takes one update at 1e-10, and
-the strict terminal refinement (final_refine) up to 30 at cs.tol/16.
+system SPD. J is never stacked into one dense matrix: J J^T and J^T y are
+assembled from each member's row block (constraints.ActiveRows), so a
+coordinate row costs one product per entry and the reaction-diffusion mass
+law is read off frame sums. Only the iteration budget and the stopping
+tolerance vary between callers: the samplers' per-step correction takes one
+update at 1e-10, and the strict terminal refinement (final_refine) up to 30
+at cs.tol/16.
 
 project(x, cs, gn_iters) is the one place that chooses among these three
 routes, from the set alone. Clean, tightened and transported sets are all
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, hinge_max, jacobian_active, max_violation
+from .constraints import ActiveRows, ConstraintSet, hinge_max, max_violation
 from .flow import interpolate, recover_x1
 from .numerics import least_distance, solve_spd
 
@@ -112,9 +116,10 @@ def gauss_newton_project(x: np.ndarray, cs: ConstraintSet, max_iters: int = 30,
                          tol: float = 1e-10) -> ProjectionReport:
     """Active-set Gauss-Newton projection onto {x : g(x) <= 0}.
 
-    Each iteration rebuilds the active set, hinge residuals, and Jacobian,
-    then applies the ridge-regularized least-norm correction. Stops once the
-    max violation is within tol (> 0) or after max_iters (>= 0) updates;
+    Each iteration rebuilds the active set, hinge residuals, and Jacobian
+    row blocks, then applies the ridge-regularized least-norm correction.
+    Stops once the max violation is within tol (> 0) or after max_iters
+    (>= 0) updates;
     either bound out of range raises ValueError. A feasible input returns
     unchanged with zero iterations. Every member's Jacobian is defined at
     every finite state, so a start at a keep-out ball's center steps out
@@ -136,12 +141,10 @@ def gauss_newton_project(x: np.ndarray, cs: ConstraintSet, max_iters: int = 30,
         if iterations >= max_iters:
             return ProjectionReport(x, iterations, viol, False, tuple(history))
         active = np.flatnonzero(vals > 0.0)
-        jac = jacobian_active(cs, x, active)
-        r = vals[active]
-        schur = jac @ jac.T + _RIDGE * np.eye(len(active))
-        y = solve_spd(schur, r)
-        dx = -(jac.T @ y)
-        x = x + dx
+        rows = ActiveRows(cs, x, active)
+        schur = rows.gram()
+        schur.flat[::len(active) + 1] += _RIDGE
+        x = x - rows.rmatvec(solve_spd(schur, vals[active]))
         iterations += 1
 
 

@@ -13,11 +13,13 @@ holds to rounding. The constraint assembly integrates the same quadrature
 (trapezoid in space, left endpoint in time), which is what makes simulated
 fields feasible for their own constraint set at machine accuracy. The set
 holds two members: one LinearBand whose n_s unit rows pin every cell of
-frame 0 (the initial condition), and a mass-law member whose 2 (n_t - 1)
+frame 0 (the initial condition), and a MassBalance member whose 2 (n_t - 1)
 faces are both sides of every later frame's balance, evaluated in one
-vectorized pass with an analytic Jacobian. The batch metrics are
-rd_violation_split, the worst violation of each of the two over a batch,
-and oracles.moment_errors.
+vectorized pass for a state or a batch, with an analytic Jacobian.
+Gauss-Newton never forms either member's dense rows: the band's unit rows
+are coordinate rows, and the mass law's J J^T and J^T y follow from frame
+sums (MassRows). The batch metrics are rd_violation_split, the worst
+violation of each of the two over a batch, and oracles.moment_errors.
 
 Flattened state convention: x[j * n_s + i] = v(s_i, t_j), so frame 0
 occupies the first n_s entries.
@@ -36,6 +38,7 @@ from .numerics import _cho_factor, _cho_solve, stream_rng
 __all__ = [
     "RdGrid",
     "RdProblem",
+    "MassBalance",
     "simulate_rd",
     "rd_constraints",
     "rd_violation_split",
@@ -152,7 +155,55 @@ def as_field(x: np.ndarray, grid: RdGrid) -> np.ndarray:
     return x.reshape(grid.n_t, grid.n_s)
 
 
-def _mass_constraint(problem: RdProblem) -> SmoothScalar:
+class _MassLaw:
+    """The arrays of one problem's mass law, with its faces and dense
+    Jacobian. They live apart from MassBalance so that the member's g and
+    grad, bound here, hold no reference back to the member (which would
+    keep every discarded member alive until a garbage collection)."""
+
+    def __init__(self, problem: RdProblem):
+        grid = problem.grid
+        n_t, n_s = grid.n_t, grid.n_s
+        m = n_t - 1
+        self.grid = grid
+        self.n_faces = 2 * m
+        self.w = grid.cell_weights
+        self.ww = np.vecdot(self.w, self.w)
+        self.ncw = -(grid.dt_phys * problem.rho * self.w)
+        self.dt = grid.dt_phys
+        self.rho = problem.rho
+        self.delta = problem.delta
+        self.boundary = np.arange(1, n_t) * (problem.g_left - problem.g_right)
+        # The state-independent part of the Jacobian: +w on frame k, -w on frame 0.
+        self.base = np.zeros((m, n_t, n_s))
+        self.base[np.arange(m), np.arange(1, n_t)] = self.w
+        self.base[:, 0] -= self.w
+        self.earlier = np.tri(m, dtype=bool)[:, :, None]  # earlier[k-1, j] is j < k
+
+    def face_values(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        frames = x.reshape(x.shape[:-1] + (self.grid.n_t, self.grid.n_s))
+        mass = np.vecdot(frames, self.w)
+        early = frames[..., :-1, :]
+        reaction = np.cumsum(np.vecdot(early * (1.0 - early), self.w), axis=-1)
+        h = mass[..., 1:] - mass[..., :1] - self.dt * (self.boundary + self.rho * reaction)
+        out = np.empty(h.shape[:-1] + (self.n_faces,))  # +h_1, -h_1, +h_2, ...
+        out[..., 0::2] = h
+        np.negative(h, out=out[..., 1::2])
+        return np.subtract(out, self.delta, out=out)
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        frames = np.asarray(x, dtype=float).reshape(self.grid.n_t, self.grid.n_s)
+        jac = self.base.copy()
+        jac[:, :-1] += self.earlier * (self.ncw * (1.0 - 2.0 * frames[:-1]))
+        rows = jac.reshape(-1, self.grid.d)
+        out = np.empty((self.n_faces, rows.shape[1]))
+        out[0::2] = rows
+        np.negative(rows, out=out[1::2])
+        return out
+
+
+class MassBalance(SmoothScalar):
     """Both sides of |h_k(x)| <= delta for every frame k >= 1, as one member
     with faces (+h_1 - delta, -h_1 - delta, +h_2 - delta, ...). h_k is the
     mass-balance defect of frame k against frame 0 plus the integrated
@@ -161,43 +212,89 @@ def _mass_constraint(problem: RdProblem) -> SmoothScalar:
         h_k = w.v_k - w.v_0 - dt (k (gL - gR) + rho sum_{j<k} w.(v_j (1 - v_j))),
         dh_k/dx = e_k (x) w - e_0 (x) w - dt rho sum_{j<k} e_j (x) w (1 - 2 v_j).
 
-    Frame sums use row-wise dot products (np.vecdot), which add in the same
-    order as one w @ v_k per frame, so the faces match a per-frame loop
-    bitwise.
+    face_values takes one state or a batch; frame sums use row-wise dot
+    products (np.vecdot), which add in the same order as one w @ v_k per
+    frame, so the faces match a per-frame loop bitwise, and every row of a
+    batch its own one-state value. jacobian gives the dense rows, which the
+    construction-time finite-difference check and the generic pathwise
+    transport (chance.transport_set) read. Gauss-Newton reads row_block
+    instead, which never forms them (MassRows).
     """
-    grid = problem.grid
-    n_t, n_s = grid.n_t, grid.n_s
-    m = n_t - 1
-    w = grid.cell_weights
-    dt = grid.dt_phys
-    rho = problem.rho
-    delta = problem.delta
-    boundary = np.arange(1, n_t) * (problem.g_left - problem.g_right)
-    # The state-independent part of the Jacobian: +w on frame k, -w on frame 0.
-    base = np.zeros((m, n_t, n_s))
-    base[np.arange(m), np.arange(1, n_t)] = w
-    base[:, 0] -= w
-    earlier = np.tri(m, dtype=bool)[:, :, None]  # earlier[k-1, j] is j < k
 
-    def both_sides(h: np.ndarray) -> np.ndarray:
-        out = np.empty((2 * m,) + h.shape[1:])
-        out[0::2] = h
-        np.negative(h, out=out[1::2])
-        return out
+    def __init__(self, problem: RdProblem):
+        law = _MassLaw(problem)
+        vars(self)["_law"] = law  # the member is frozen
+        super().__init__(law.grid.d, law.face_values, law.jacobian, name="mass",
+                         n_faces=law.n_faces)
 
-    def g(x: np.ndarray) -> np.ndarray:
-        frames = x.reshape(n_t, n_s)
-        mass = np.vecdot(frames, w)
-        reaction = np.cumsum(np.vecdot(frames[:-1] * (1.0 - frames[:-1]), w))
-        return both_sides(mass[1:] - mass[0] - dt * (boundary + rho * reaction)) - delta
+    def face_values(self, x: np.ndarray) -> np.ndarray:
+        return self._law.face_values(x)  # g, which takes a batch as well
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        frames = x.reshape(n_t, n_s)
-        jac = base.copy()
-        jac[:, :-1] -= earlier * (dt * rho * w * (1.0 - 2.0 * frames[:-1]))
-        return both_sides(jac.reshape(m, grid.d))
+    def row_block(self, x: np.ndarray, local) -> MassRows:
+        return MassRows(self._law, x, local)
 
-    return SmoothScalar(grid.d, g, grad, name="mass", n_faces=2 * m)
+
+class MassRows:
+    """Gradient rows of some mass-balance faces at one state, never formed.
+
+    Notation: c u_f = dt rho w (1 - 2 v_f), a = -w - c u_0, and sigma = +1
+    or -1 for the face's side. The row of h_k is a on frame 0, -c u_f on
+    frames 1 <= f < k, w on frame k and 0 after, times sigma. So, with
+    z_k = sigma_k y_k,
+
+        G_kl = sigma_k sigma_l (|a|^2 + sum_{1<=f<min(k,l)} |c u_f|^2
+                                + (|w|^2 if k = l else -w.c u_min(k,l))),
+        J^T y = (sum_k z_k) a on frame 0, z_f w - c u_f sum_{k>f} z_k on frame f,
+
+    in O(m n_s + n^2) for n rows over m = n_t - 1 frames, where the dense
+    products take O(n^2 m n_s). Every entry (at) is bitwise that of
+    MassBalance.jacobian; the Gram and J^T y add in another order than the
+    dense products do, so they agree with them to rounding.
+    """
+
+    def __init__(self, law: _MassLaw, x: np.ndarray, local):
+        grid = law.grid
+        # below[f] is a row's entry on a frame f below its own frame k: a on
+        # frame 0, -c u_f after it; the last frame is never below any k.
+        below = np.zeros((grid.n_t, grid.n_s))
+        np.multiply(law.ncw, 1.0 - 2.0 * x.reshape(grid.n_t, grid.n_s)[:-1], out=below[:-1])
+        below[0] -= law.w
+        self._law = law
+        self._below = below
+        self._k = local // 2 + 1
+        self._sign = 1.0 - 2.0 * (local % 2)
+
+    def at(self, cols) -> np.ndarray:
+        w = self._law.w
+        f, i = np.divmod(cols, w.size)
+        k = self._k[:, None]
+        entry = np.where(f < k, np.take(self._below, cols), np.where(f == k, np.take(w, i), 0.0))
+        return self._sign[:, None] * entry
+
+    def dense(self) -> np.ndarray:
+        return self.at(np.arange(self._law.grid.d))
+
+    def gram(self) -> np.ndarray:
+        a, later = self._below[0], self._below[1:-1]
+        frames = len(self._below)
+        sq = np.zeros(frames)  # sq[j] = sum_{1<=f<j} |c u_f|^2
+        np.cumsum(np.vecdot(later, later), out=sq[2:])
+        cross = np.zeros(frames)  # cross[f] = -w.c u_f
+        cross[1:-1] = np.vecdot(later, self._law.w)
+        k = self._k
+        low = np.minimum.outer(k, k)
+        core = np.vecdot(a, a) + sq[low] + np.where(k[:, None] == k, self._law.ww, cross[low])
+        return self._sign[:, None] * core * self._sign
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        below = self._below
+        z = np.bincount(self._k, weights=self._sign * y, minlength=len(below))
+        after = np.cumsum(z[::-1])[::-1]  # after[f] = sum_{k >= f} z_k
+        out = np.empty(below.shape)
+        out[0] = after[1] * below[0]
+        out[1:] = z[1:, None] * self._law.w
+        out[1:-1] += below[1:-1] * after[2:, None]
+        return out.reshape(-1)
 
 
 def rd_constraints(problem: RdProblem) -> ConstraintSet:
@@ -208,7 +305,7 @@ def rd_constraints(problem: RdProblem) -> ConstraintSet:
     grid = problem.grid
     ic_band = LinearBand(np.eye(grid.n_s, grid.d), problem.ic - problem.delta,
                          problem.ic + problem.delta)
-    return ConstraintSet((ic_band, _mass_constraint(problem)), tol=problem.delta)
+    return ConstraintSet((ic_band, MassBalance(problem)), tol=problem.delta)
 
 
 def rd_violation_split(finals: np.ndarray, cs: ConstraintSet) -> tuple[float, float]:

@@ -73,7 +73,7 @@ def velocity_single_gaussian_closed_form():
         xhat = model.target.means[0] + t * 0.64 * (x - t * model.target.means[0]) / var
         expect = (xhat - x) / (1 - t)
         got = model.velocity(x, t)
-        _assert(np.allclose(got, expect, atol=1e-12),
+        _assert(np.allclose(got, expect, rtol=0.0, atol=1e-12),
                 f"velocity mismatch at t={t}")
 
 
@@ -124,7 +124,7 @@ def pathwise_projection_commutes():
         via_clean = project_decomposed(x, x0, t, cs)
         shifted = transport_set(cs, t, x0)
         direct = shifted.members[0].project(x)
-        _assert(np.allclose(via_clean, direct, atol=1e-9),
+        _assert(np.allclose(via_clean, direct, rtol=0.0, atol=1e-9),
                 "decomposed projection disagrees with direct projection")
 
 
@@ -154,7 +154,7 @@ def gauss_newton_matches_closed_form():
     for _ in range(25):
         x = 3.0 * rng.standard_normal(3)
         got = gauss_newton_project(x, cs, 50).x_out
-        _assert(np.allclose(got, c.project(x), atol=1e-5),
+        _assert(np.allclose(got, c.project(x), rtol=0.0, atol=1e-5),
                 "Gauss-Newton drifts from the closed-form projection")
 
 

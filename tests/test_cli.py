@@ -8,7 +8,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from chanceflow import ConfigError, LinearBand, SampleRecord, SamplerConfig, Scheduler
+from chanceflow import (ConfigError, FlowModel, LinearBand, SampleRecord, SamplerConfig,
+                        Scheduler, selfcheck)
 from chanceflow.cli import CSV_HEADER, ResultRow, main, run_experiment
 from chanceflow.config import build_workbench, parse_config
 from chanceflow.figures import emit_figure
@@ -501,3 +502,13 @@ def test_main_verify_battery(capsys):
     out = capsys.readouterr().out
     assert "all" in out and "checks passed" in out
     assert "[FAIL]" not in out
+
+
+def test_verify_velocity_check_has_no_relative_slack(monkeypatch):
+    # The closed-form velocity check bounds the error by 1e-12 absolute. With
+    # NumPy's default rtol (1e-5) it would accept this 1e-9 error on
+    # velocities of size 1.6-2.5.
+    real = FlowModel.velocity
+    monkeypatch.setattr(FlowModel, "velocity", lambda self, x, t: real(self, x, t) + 1e-9)
+    with pytest.raises(AssertionError, match="velocity mismatch"):
+        selfcheck.velocity_single_gaussian_closed_form()

@@ -14,9 +14,10 @@ from chanceflow import (ConfigError, ConstraintSet, LinearBand, LinearIneq,
                         MinDistance, NumericalError, SmoothScalar, final_refine,
                         max_violation)
 from chanceflow.config import parse_config
-from chanceflow.constraints import jacobian_active
+from chanceflow.constraints import ActiveRows, CoordinateRows, DenseRows, jacobian_active
 from chanceflow.oracles import halfspace_qp_project
 from chanceflow.numerics import stream_rng
+from chanceflow.reaction_diffusion import RdGrid, rd_constraints, sample_rd_problem, simulate_rd
 
 HALF = LinearIneq(np.array([1.0, 0.0]), 1.0)
 
@@ -73,6 +74,7 @@ def _batch_cases():
     smooth1 = SmoothScalar(8, lambda x: float(np.sin(x[0]) + x[1] * x[7] - 0.2),
                            lambda x: np.array([np.cos(x[0]), x[7], 0, 0, 0, 0, 0, x[1]]))
     smooth2 = SmoothScalar(2, two_faces, two_faces_jacobian, n_faces=2)
+    rd_set = rd_constraints(sample_rd_problem(RdGrid(), stream_rng(21, 11)))
     return [
         ("linear", LinearIneq(a[0], 0.2)),
         ("band", LinearBand(a[1], -0.3, 0.9)),
@@ -93,6 +95,9 @@ def _batch_cases():
                                   [0.9, 0.2, 1.5])),
         # A -0.0 lower bound: the zero face at x = 0 has one sign, alone or in a batch.
         ("band_negative_zero_bound", LinearBand(np.array([1.0]), -0.0, 5.0)),
+        # The shipped reaction-diffusion set (d = 640) and its mass law alone.
+        ("rd_set", rd_set),
+        ("rd_mass_law", rd_set.members[1]),
     ]
 
 
@@ -538,6 +543,101 @@ def test_band_block_rejects_bad_rows_and_bounds():
         LinearBand(np.array([[1.0, 0.0], [0.0, 0.0]]), [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         LinearBand(np.ones((1, 1, 2)), [0.0], [1.0])
+
+
+# --- row blocks against the dense Jacobian ---------------------------------------------
+
+
+def assert_blocks_match_dense(cs, x, active, rng):
+    """ActiveRows' J J^T and J^T y, and each member's block entries, against
+    the products of the dense rows jacobian_active stacks: within 1e-13
+    relative to the largest entry of the dense product."""
+    jac = jacobian_active(cs, x, active)
+    rows = ActiveRows(cs, x, active)
+    gram = jac @ jac.T
+    assert np.abs(rows.gram() - gram).max() <= 1e-13 * np.abs(gram).max()
+    y = rng.standard_normal(len(active))
+    want = jac.T @ y
+    assert np.abs(rows.rmatvec(y) - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
+    owner, local = np.array(cs.faces)[active].T
+    cols = rng.choice(x.size, size=min(x.size, 9), replace=False)
+    for i in np.unique(owner):
+        mine = local[owner == i]
+        dense = cs.members[i].jacobian(x)[mine]
+        block = cs.members[i].row_block(x, mine)
+        assert np.array_equal(block.at(cols), dense[:, cols])
+        assert np.array_equal(block.dense(), dense)
+
+
+def coordinate_sets():
+    # Coefficients other than +-1, and rows of different members on one column.
+    d = 6
+    e = np.eye(d)
+    half = LinearIneq(2.5 * e[2], 0.3)
+    block = LinearBand(np.array([-0.3 * e[2], 4.0 * e[0], 1e-3 * e[5]]),
+                       [-1.0, -0.5, -2.0], [0.2, 0.5, 2.0])
+    oblique = LinearIneq(np.array([1.0, -2.0, 0.5, 0.0, 3.0, 1.0]), 0.1)
+    ball = MinDistance(np.array([0.3, -0.2, 0.1, 0.0, 0.5, -0.4]), 1.5)
+    return [
+        ("coordinate_only", ConstraintSet((half, block, LinearIneq(-0.7 * e[2], 0.4)))),
+        ("coordinate_and_oblique", ConstraintSet((block, oblique, half))),
+        ("ball_and_coordinate_halfspace", ConstraintSet((ball, half))),
+        ("ball_coordinates_oblique", ConstraintSet((half, ball, block, oblique))),
+    ]
+
+
+@pytest.mark.parametrize("name, cs", coordinate_sets())
+def test_row_blocks_match_the_dense_products(name, cs):
+    rng = stream_rng(21, 20)
+    for _ in range(20):
+        x = 2.0 * rng.standard_normal(cs.dim or 6)
+        active = np.sort(rng.choice(cs.n_faces, size=rng.integers(1, cs.n_faces + 1),
+                                    replace=False))
+        assert_blocks_match_dense(cs, x, active, rng)
+        assert_blocks_match_dense(cs, x, rng.permutation(active), rng)
+        assert_blocks_match_dense(cs, x, np.arange(cs.n_faces), rng)  # both sides of every band
+
+
+def test_coordinate_rows_are_detected_from_the_coefficients():
+    x = np.zeros(3)
+    assert isinstance(LinearIneq(np.array([0.0, -2.0, 0.0]), 1.0).row_block(x, [0]),
+                      CoordinateRows)
+    assert isinstance(LinearBand(np.diag([1.0, 3.0, -0.5]), np.zeros(3), np.ones(3))
+                      .row_block(x, [1, 4]), CoordinateRows)
+    assert isinstance(LinearIneq(np.array([1.0, -2.0, 0.0]), 1.0).row_block(x, [0]),
+                      DenseRows)
+    mixed = LinearBand(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), [0.0, 0.0], [1.0, 1.0])
+    assert isinstance(mixed.row_block(x, [0, 3]), DenseRows)
+
+
+def test_coordinate_blocks_are_bitwise_the_dense_products():
+    # One exact product per entry: the Gram of coordinate rows, and their
+    # cross block with an oblique row, equal the dense J J^T bit for bit.
+    rng = stream_rng(21, 21)
+    for name, cs in coordinate_sets()[:2]:
+        for _ in range(20):
+            x = 2.0 * rng.standard_normal(cs.dim)
+            jac = jacobian_active(cs, x, np.arange(cs.n_faces))
+            assert np.array_equal(ActiveRows(cs, x, np.arange(cs.n_faces)).gram(), jac @ jac.T)
+
+
+@pytest.mark.parametrize("n_s", [4, 7, 32])
+@pytest.mark.parametrize("n_t", [2, 3, 20])
+def test_reaction_diffusion_blocks_match_the_dense_products(n_s, n_t):
+    grid = RdGrid(n_s=n_s, n_t=n_t, dt_phys=0.2)
+    rng = stream_rng(21, 100 * n_s + n_t)
+    problem = sample_rd_problem(grid, rng, rho=0.3)
+    cs = rd_constraints(problem)
+    sim = simulate_rd(problem).ravel()
+    band_faces, mass_faces = 2 * n_s, 2 * (n_t - 1)
+    for x in (sim, sim + 0.01 * rng.standard_normal(grid.d), rng.standard_normal(grid.d)):
+        for _ in range(6):
+            active = rng.choice(cs.n_faces, size=rng.integers(1, cs.n_faces + 1), replace=False)
+            # both sides of one IC row and of one frame's balance
+            row, frame = 2 * rng.integers(n_s), band_faces + 2 * rng.integers(n_t - 1)
+            active = np.union1d(active, [row, row + 1, frame, frame + 1])
+            assert_blocks_match_dense(cs, x, active, rng)
+        assert_blocks_match_dense(cs, x, np.arange(band_faces, band_faces + mass_faces), rng)
 
 
 # --- construction checks -------------------------------------------------------------

@@ -14,7 +14,8 @@ from chanceflow import numerics as numerics_module
 from chanceflow import projection as projection_module
 from chanceflow.chance import tighten_linear
 from chanceflow.oracles import halfspace_qp_project
-from chanceflow.numerics import stream_rng
+from chanceflow.constraints import jacobian_active
+from chanceflow.numerics import solve_spd, stream_rng
 from chanceflow.reaction_diffusion import (RdGrid, RdProblem, rd_constraints,
                                            simulate_rd)
 
@@ -453,6 +454,47 @@ def test_gn_violation_history_nonincreasing_on_convex_set():
     hist = report.history
     assert all(a >= b - 1e-12 for a, b in zip(hist, hist[1:]))
     assert report.converged
+
+
+def dense_gauss_newton_step(x, cs):
+    """One ridge-regularized update from the stacked dense Jacobian: the
+    reference that Gauss-Newton's row blocks are checked against."""
+    vals = cs.face_values(x)
+    active = np.flatnonzero(vals > 0.0)
+    jac = jacobian_active(cs, x, active)
+    y = solve_spd(jac @ jac.T + 1e-6 * np.eye(active.size), vals[active])
+    return x - jac.T @ y
+
+
+def step_sets():
+    e = np.eye(6)
+    ball = MinDistance(np.array([0.3, -0.2, 0.1, 0.0, 0.5, -0.4]), 1.5)
+    block = LinearBand(np.array([-0.3 * e[2], 4.0 * e[0], 1e-3 * e[5]]),
+                       [-1.0, -0.5, -2.0], [0.2, 0.5, 2.0])
+    yield "ball_and_coordinate_halfspace", ConstraintSet((ball, LinearIneq(2.5 * e[2], 0.3)))
+    yield "ball_coordinates_oblique", ConstraintSet(
+        (ball, block, LinearIneq(-0.7 * e[2], 0.4),
+         LinearIneq(np.array([1.0, -2.0, 0.5, 0.0, 3.0, 1.0]), 0.1)))
+    for n_s, n_t in ((4, 2), (7, 3), (32, 20)):
+        grid = RdGrid(n_s=n_s, n_t=n_t, dt_phys=0.2)
+        problem = RdProblem(grid=grid, nu=0.01, rho=0.3, ic=0.4 + 0.1 * np.sin(np.pi * grid.s),
+                            g_left=0.003, g_right=-0.001)
+        yield f"rd_{n_s}x{n_t}", rd_constraints(problem)
+
+
+@pytest.mark.parametrize("name, cs", list(step_sets()))
+def test_gn_step_matches_the_dense_step(name, cs):
+    rng = stream_rng(41, 12)
+    steps = 0
+    for _ in range(60):
+        x = 2.0 * rng.standard_normal(cs.dim or 6)
+        if max_violation(cs, x) <= 1e-10:
+            continue
+        want = dense_gauss_newton_step(x, cs)
+        got = gauss_newton_project(x, cs, 1).x_out
+        assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(x).max())
+        steps += 1
+    assert steps >= 20
 
 
 def test_gn_reports_budget_exhaustion():

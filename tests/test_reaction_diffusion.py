@@ -12,11 +12,12 @@ from chanceflow import (ConstraintSet, EmpiricalTarget, FlowModel, NumericalErro
                         RdGrid, RdProblem, SamplerConfig, SmoothScalar, final_refine,
                         max_violation, moment_errors, rd_constraints, rd_dataset,
                         rd_violation_split, run_batch, simulate_rd)
-from chanceflow import projection, samplers
+from chanceflow import constraints, projection, samplers
 from chanceflow.config import parse_config
 from chanceflow.constraints import LinearBand, jacobian_active
 from chanceflow.numerics import stream_rng
-from chanceflow.reaction_diffusion import _diffusion_operator, as_field, sample_rd_problem
+from chanceflow.reaction_diffusion import (MassBalance, _diffusion_operator, as_field,
+                                           sample_rd_problem)
 
 GRID = RdGrid(n_s=32, n_t=20, dt_phys=0.25)
 
@@ -341,6 +342,38 @@ def test_ccfm_reaches_exact_ic_band_and_tiny_mass_defect():
         assert rec.refine_converged
     assert cv_ic <= 1e-10
     assert cv_cl <= 1e-8
+
+
+def test_pathwise_run_never_forms_a_dense_jacobian(monkeypatch):
+    # Gauss-Newton reads the set through its row blocks. Once the set is
+    # built (the mass law's finite-difference check reads its dense rows),
+    # neither the per-step corrections nor final_refine evaluate the mass
+    # law's dense jacobian or stack rows with jacobian_active.
+    grid = RdGrid(n_s=8, n_t=4, dt_phys=0.2)
+    fields, problems = rd_dataset(grid, 5, seed=3)
+    cs = rd_constraints(problems[0])
+    calls = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append((name, type(out).__name__))
+            return out
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(MassBalance, "jacobian")
+    spy(MassBalance, "row_block")
+    spy(LinearBand, "row_block")
+    spy(constraints, "jacobian_active")
+    monkeypatch.setattr(projection, "jacobian_active", constraints.jacobian_active,
+                        raising=False)
+    cfg = SamplerConfig(algorithm="ccfm", n_steps=10, seed=3, samples=2, mode="pathwise")
+    records = run_batch(FlowModel(EmpiricalTarget(fields[1:])), cs, cfg)
+    assert all(rec.refine_converged for rec in records)
+    assert {("row_block", "MassRows"), ("row_block", "CoordinateRows")} <= set(calls)
+    assert not [name for name, _ in calls if name != "row_block"]
 
 
 def test_per_step_gauss_newton_may_stop_short_of_the_set(tmp_path, monkeypatch):
