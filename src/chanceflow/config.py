@@ -13,11 +13,11 @@ Sections and keys::
 
     [experiment]  id, seed, samples, tol
     [model]       kind = mixture | empirical | reaction_diffusion, + params
-    [sampler]     algorithm (one or more), stepper, steps, scheduler_n, mode,
-                  eci_events
-                  (eci ignores stepper; only ccfm reads mode, only eci
-                  eci_events; the Gauss-Newton budgets are fixed: see
-                  SamplerConfig)
+    [sampler]     algorithm (one or more), steps, scheduler_n, mode,
+                  eci_events, stepper (euler, its only value)
+                  (every algorithm predicts with Euler; only ccfm reads
+                  mode, only eci eci_events; the Gauss-Newton budgets are
+                  fixed: see SamplerConfig)
     [constraint.K] kind = halfspace | band | quadratic | min_distance, + params
                   (quadratic: (a.x)^2 <= b, read as the band |a.x| <= sqrt(b))
     [metrics]     reference (path | rejection | simulation),
@@ -149,8 +149,9 @@ def _build_constraint(section: _Section):
                           section.get_typed("hi", float, required=True))
     if kind == "quadratic":
         b = section.get_typed("b", float, required=True)
-        if not b > 0.0:
-            raise ConfigError(f"[{section.name}] quadratic bound must be positive, got {b}")
+        if not 0.0 < b < math.inf:
+            raise ConfigError(f"[{section.name}] quadratic bound must be positive and "
+                              f"finite, got {b}")
         root = math.sqrt(b)
         return LinearBand(_parse_vector(section.get("a", required=True)), -root, root)
     if kind == "min_distance":
@@ -203,9 +204,14 @@ def _sampler_configs(section: _Section, exp: _Section) -> tuple:
     algorithms = section.get("algorithm", default="ccfm").split()
     if not algorithms or len(set(algorithms)) < len(algorithms):
         raise ConfigError("[sampler] algorithm must list one or more distinct algorithms")
+    # Euler is the only predictor; the key stays legal because
+    # perfbench/configs/mix8_threads.cfg still sets stepper = euler.
+    stepper = section.get("stepper", default="euler")
+    if stepper != "euler":
+        raise ConfigError(f"[sampler] stepper = {stepper!r}: every sampler integrates "
+                          "with euler, the only stepper")
     first = SamplerConfig(
         algorithm=algorithms[0],
-        stepper=section.get("stepper", default="euler"),
         n_steps=section.get_typed("steps", int, default=100),
         scheduler=Scheduler(section.get_typed("scheduler_n", float, default=0.5)),
         mode=section.get("mode", default="marginal"),

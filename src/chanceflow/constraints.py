@@ -112,8 +112,8 @@ class LinearIneq:
     def __post_init__(self):
         object.__setattr__(self, "a", _coefficients(self.a))
         object.__setattr__(self, "b", float(self.b))
-        if np.isnan(self.b):
-            raise ValueError("halfspace bound must not be NaN")
+        if not np.isfinite(self.b):
+            raise ValueError(f"halfspace bound b must be finite, got {self.b}")
         object.__setattr__(self, "_coords", _coordinates(self.a[None, :]))
 
     @property
@@ -165,6 +165,8 @@ class LinearBand:
                              f"shape {a.shape}, got {lo.shape} and {hi.shape}")
         if not (lo <= hi).all():
             raise ValueError(f"band requires lo <= hi, got [{self.lo}, {self.hi}]")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError(f"band bounds lo and hi must be finite, got [{self.lo}, {self.hi}]")
         if not _orthogonal(rows):
             raise ValueError("band rows must be mutually orthogonal (A A^T diagonal)")
         jac = np.empty((2 * k, rows.shape[1]))

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 # Velocity queries at t >= 1 - 1e-9 are evaluated at the clamp time: the
-# samplers only query strictly below 1, but user-supplied grids may not.
+# samplers query only grid times t_k < 1, but user-supplied grids may not.
 T_CLAMP = 1.0 - 1e-9
 
 

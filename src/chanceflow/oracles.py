@@ -1,8 +1,11 @@
-"""Independent verification oracles.
+"""Independent verification oracles and the run's quality metrics.
 
-Nothing here is used by the samplers themselves: these routines re-derive
-answers by Monte Carlo, exhaustive search, or small dense KKT solves so the
-fast closed forms elsewhere have something honest to be checked against.
+The samplers never call these routines: they re-derive answers by Monte
+Carlo, exhaustive search, or small dense KKT solves so the fast closed forms
+elsewhere have something honest to be checked against. A run's CSV takes
+its feasibility rate, sliced W2 and moment errors from here
+(feasibility_report, sliced_w2, moment_errors), and its reference batch,
+unless loaded or simulated, from rejection_sample.
 """
 
 from __future__ import annotations

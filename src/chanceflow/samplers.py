@@ -3,9 +3,10 @@ per-step projection onto the clean set, extrapolate-correct-interpolate, and
 chance-constrained projection with a probabilistic schedule.
 
 All samplers run one loop over the uniform grid t_k = k/N and differ in two
-places only: the predictor (a stepper move, or eci's endpoint
-extrapolation) and the correction (none, projection onto the clean set,
-onto the marginal tightened set of step k, or onto the transported set).
+places only: the length of the one Euler predictor (the step to t_{k+1},
+or eci's extrapolation to t = 1) and the correction (none, projection onto
+the clean set, onto the marginal tightened set of step k, or onto the
+transported set).
 Every correction goes through the same projection dispatch. Each sample is
 a pure function of (model, constraints, config, sample index): the index
 selects an RNG stream, so batches are reproducible bitwise regardless of
@@ -15,6 +16,7 @@ execution order or thread count.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,8 +36,6 @@ from .projection import (final_refine, gauss_newton_project,  # noqa: F401
 __all__ = [
     "SamplerConfig",
     "SampleRecord",
-    "euler_step",
-    "heun_step",
     "sample_vanilla",
     "sample_repeated",
     "sample_eci",
@@ -55,15 +55,15 @@ _STEP_GN_ITERS = 1
 class SamplerConfig:
     """Settings shared by all sampling algorithms; not every one reads all.
 
-    eci ignores stepper: it extrapolates with one velocity call per step.
-    Only ccfm reads mode (and scheduler, in marginal mode), and only eci
-    reads eci_events, its number of noise-resampling events. The per-step
-    Gauss-Newton correction and the final refinement take fixed budgets (see
-    _STEP_GN_ITERS and final_refine).
+    Every algorithm predicts with one Euler velocity call per step. Only
+    ccfm reads mode (and scheduler, in marginal mode), and only eci reads
+    eci_events, its number of noise-resampling events. n_steps, samples and
+    eci_events are integers. The per-step Gauss-Newton correction and the
+    final refinement take fixed budgets (see _STEP_GN_ITERS and
+    final_refine).
     """
 
     algorithm: str = "ccfm"
-    stepper: str = "euler"
     n_steps: int = 100
     scheduler: Scheduler = Scheduler(0.5)
     mode: str = "marginal"
@@ -74,8 +74,12 @@ class SamplerConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.stepper not in _STEPPERS:
-            raise ValueError(f"unknown stepper {self.stepper!r}")
+        for name in ("n_steps", "samples", "eci_events"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_steps < 1:
@@ -113,39 +117,8 @@ class SampleRecord:
         return self.states[-1]
 
 
-def euler_step(model: FlowModel, x: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """Forward Euler: x + dt * u(x, t)."""
-    _check_step(t, dt)
-    if dt == 0.0:
-        return np.array(x, dtype=float)
-    return x + dt * model.velocity(x, t)
-
-
-def heun_step(model: FlowModel, x: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """Heun predictor-corrector: average of the slopes at both ends.
-
-    The corrector query at t + dt may land on t = 1, where the velocity is
-    evaluated at the clamp time just below.
-    """
-    _check_step(t, dt)
-    if dt == 0.0:
-        return np.array(x, dtype=float)
-    u1 = model.velocity(x, t)
-    u2 = model.velocity(x + dt * u1, t + dt)
-    return x + 0.5 * dt * (u1 + u2)
-
-
-def _check_step(t: float, dt: float):
-    if dt < 0.0:
-        raise ValueError(f"step size must be non-negative, got {dt!r}")
-    if t + dt > 1.0 + 1e-12:
-        raise ValueError(f"step beyond t=1: t={t!r}, dt={dt!r}")
-
-
-_STEPPERS = {"euler": euler_step, "heun": heun_step}
-
-
 def _time_grid(n_steps: int) -> np.ndarray:
+    # An integer n_steps keeps every t_k = k/N in [0, 1], with t_N exactly 1.
     return np.arange(n_steps + 1) / n_steps
 
 
@@ -160,8 +133,8 @@ def _sample(model: FlowModel, cs: ConstraintSet | None, cfg: SamplerConfig,
             sample_index: int, correct=None, extrapolate: bool = False) -> SampleRecord:
     """The sampling loop shared by all four algorithms: predict, correct, record.
 
-    The prediction is a stepper move from t_k to t_{k+1}, or, with
-    extrapolate, eci's one-shot endpoint x + (1 - t_k) u; after correction
+    The prediction is one Euler move x + h u(x, t_k): to t_{k+1}, or, with
+    extrapolate, eci's one-shot endpoint at h = 1 - t_k; after correction
     that endpoint is re-interpolated at t_{k+1} against x0, or against fresh
     noise from the sample's stream at the resampling events.
     correct(pred, x0, k) returns the corrected prediction and the length of
@@ -171,7 +144,6 @@ def _sample(model: FlowModel, cs: ConstraintSet | None, cfg: SamplerConfig,
     last one, and what the final refinement enforces.
     """
     started = time.perf_counter()
-    step = _STEPPERS[cfg.stepper]
     rng = stream_rng(cfg.seed, sample_index)
     x0 = rng.standard_normal(model.dim)
     ts = _time_grid(cfg.n_steps)
@@ -181,10 +153,8 @@ def _sample(model: FlowModel, cs: ConstraintSet | None, cfg: SamplerConfig,
     moves = np.zeros(cfg.n_steps)
     for k in range(cfg.n_steps):
         t, t_next = ts[k], ts[k + 1]
-        if extrapolate:
-            x = pred = x + (1.0 - t) * model.velocity(x, t)
-        else:
-            x = pred = step(model, x, t, t_next - t)
+        h = 1.0 - t if extrapolate else t_next - t
+        x = pred = x + h * model.velocity(x, t)
         if correct is not None:
             x = correct(pred, x0, k)
             moves[k] = float(np.linalg.norm(x - pred))

@@ -1,9 +1,11 @@
 """Config parsing, the experiment runner, CSV/SVG output, and exit codes."""
 
+import configparser
 import logging
 import os
 import textwrap
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +51,11 @@ figure_samples = 3
 # SMOKE with a keep-out ball, which ccfm reaches in pathwise mode only.
 BALL_SMOKE = SMOKE.replace("steps = 12", "steps = 12\nmode = pathwise").replace(
     "[metrics]", "[constraint.ball]\nkind = min_distance\ncenter = 0 0\nradius = 0.5\n\n[metrics]")
+
+# SMOKE under repeated with a second, non-orthogonal halfspace, so every
+# per-step projection takes the least-distance solve.
+TWO_WALLS = SMOKE.replace("algorithm = ccfm vanilla", "algorithm = repeated").replace(
+    "[metrics]", "[constraint.slope]\nkind = halfspace\na = 1 1\nb = 1\n\n[metrics]")
 
 # The smallest reaction-diffusion run: a 4 x 2 grid and two training fields.
 RD_SMOKE = """\
@@ -134,6 +141,25 @@ def test_parse_fills_defaults(tmp_path):
     assert cfg.figures == ()
 
 
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("perfbench/configs/*.cfg"))
+
+
+def test_shipped_and_benchmark_configs_are_found():
+    names = {p.relative_to(ROOT).as_posix() for p in SHIPPED}
+    assert {"configs/rd_ccfm.cfg", "perfbench/configs/mix8_threads.cfg"} <= names
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_every_shipped_and_benchmark_config_parses(path):
+    # A key the grammar retires must leave these files first: the benchmark
+    # runs perfbench/configs as they are.
+    raw = configparser.ConfigParser(interpolation=None)
+    raw.read(path, encoding="utf-8")
+    cfg = parse_config(str(path))
+    assert [s.algorithm for s in cfg.samplers] == raw["sampler"]["algorithm"].split()
+
+
 def _bad(case_id, old, new, base=SMOKE, match=None):
     return pytest.param(old, new, base, match, id=case_id)
 
@@ -210,20 +236,29 @@ def test_malformed_config_exits_2_without_output(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("base, old, new", [
-    (SMOKE, "steps = 12", "steps = 12\neci_events = -1"),       # checked by SamplerConfig
-    (SMOKE, "scales = 0.4", "scales = -1"),                      # by the mixture target
-    (RD_SMOKE, "n_t = 2", "n_t = 2\nnu = 0"),                    # by RdProblem
-    (RD_SMOKE, "n_t = 2", "n_t = 2\nrho = inf"),
-    (RD_SMOKE, "samples = 2", "samples = 2\n[output]\nfigures = trajectory_2d"),
-    (BALL_SMOKE, "radius = 0.5", "radius = nan"),                # by MinDistance
-], ids=["eci_events", "scales", "nu", "rho", "rd_trajectory_2d", "radius"])
-def test_out_of_range_setting_exits_2_without_output(tmp_path, base, old, new):
+@pytest.mark.parametrize("base, old, new, named", [
+    # checked by SamplerConfig
+    (SMOKE, "steps = 12", "steps = 12\neci_events = -1", "eci_events"),
+    (SMOKE, "scales = 0.4", "scales = -1", "scales"),            # by the mixture target
+    (RD_SMOKE, "n_t = 2", "n_t = 2\nnu = 0", "nu > 0"),          # by RdProblem
+    (RD_SMOKE, "n_t = 2", "n_t = 2\nrho = inf", "rho >= 0"),
+    (RD_SMOKE, "samples = 2", "samples = 2\n[output]\nfigures = trajectory_2d",
+     "trajectory_2d"),
+    (BALL_SMOKE, "radius = 0.5", "radius = nan", "radius"),      # by MinDistance
+    (TWO_WALLS, "b = 1", "b = inf", "bound b must be finite"),  # by LinearIneq
+    (SMOKE, "steps = 12", "steps = 12\nstepper = heun", "stepper = 'heun'"),  # Euler only
+], ids=["eci_events", "scales", "nu", "rho", "rd_trajectory_2d", "radius", "halfspace_b_inf",
+        "stepper"])
+def test_out_of_range_setting_exits_2_without_output(tmp_path, capsys, caplog,
+                                                     base, old, new, named):
     assert old in base
     out = tmp_path / "out"
-    assert main(["run", write_config(tmp_path, base.replace(old, new)),
-                 "--out-dir", str(out)]) == 2
+    with caplog.at_level(logging.ERROR, logger="chanceflow"):
+        assert main(["run", write_config(tmp_path, base.replace(old, new)),
+                     "--out-dir", str(out)]) == 2
     assert not out.exists()
+    assert capsys.readouterr().out == ""
+    assert named in caplog.text
     assert main(["run", write_config(tmp_path, base, name="ok.cfg"),
                  "--out-dir", str(out)]) == 0
 

@@ -660,9 +660,22 @@ def test_band_rejects_inverted_bounds():
         LinearBand(np.array([1.0]), 2.0, 1.0)
 
 
+@pytest.mark.parametrize("bound", [np.inf, -np.inf])
+def test_linear_bounds_must_be_finite(bound):
+    # An infinite bound would reach the least-distance solve as inf / inf.
+    eye = np.eye(3)
+    with pytest.raises(ValueError, match="halfspace bound b must be finite"):
+        LinearIneq(eye[0], bound)
+    for lo, hi in ((bound, bound), (min(bound, 0.0), max(bound, 0.0))):
+        with pytest.raises(ValueError, match="band bounds lo and hi must be finite"):
+            LinearBand(eye[0], lo, hi)
+        with pytest.raises(ValueError, match="band bounds lo and hi must be finite"):
+            LinearBand(eye, [-1.0, lo, -1.0], [1.0, hi, 1.0])
+
+
 def test_quadratic_rejects_nonpositive_bound(tmp_path):
     # A quadratic exists only as a config block, so its bound is checked there.
-    for bound in ("0", "-1", "nan"):
+    for bound in ("0", "-1", "nan", "inf"):
         path = tmp_path / "quad.cfg"
         path.write_text(textwrap.dedent(f"""\
             [experiment]

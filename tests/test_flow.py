@@ -301,10 +301,12 @@ def _same_velocity(model, x, t) -> bool:
             and model.velocity(x, t).tobytes() == u.tobytes())
 
 
-@pytest.mark.parametrize("algorithm, stepper", [
-    ("vanilla", "euler"), ("vanilla", "heun"), ("eci", "euler")])
-def test_velocity_on_sampler_grids_is_bitwise_the_formula(monkeypatch, algorithm, stepper):
-    # Heun's corrector queries t + dt, off the grid, and t = 1 on the last step.
+@pytest.mark.parametrize("algorithm, mode", [
+    ("vanilla", "marginal"), ("eci", "marginal"), ("ccfm", "marginal"), ("ccfm", "pathwise"),
+], ids=["vanilla", "eci", "ccfm-marginal", "ccfm-pathwise"])
+def test_velocity_on_sampler_grids_is_bitwise_the_formula(monkeypatch, algorithm, mode):
+    # Every sampler predicts with one Euler velocity call per sample and step,
+    # at a grid time t_k < 1, so no query reaches the clamp.
     model = FlowModel(GaussianMixtureTarget(_axis_modes(8, 4), 0.5))
     calls = []
     velocity = FlowModel.velocity
@@ -315,11 +317,12 @@ def test_velocity_on_sampler_grids_is_bitwise_the_formula(monkeypatch, algorithm
         return u
 
     monkeypatch.setattr(FlowModel, "velocity", spy)
-    cfg = SamplerConfig(algorithm=algorithm, stepper=stepper, n_steps=25, samples=3, seed=4)
+    cfg = SamplerConfig(algorithm=algorithm, mode=mode, n_steps=25, samples=3, seed=4)
     run_batch(model, ConstraintSet((LinearIneq(np.eye(8)[0], 1.0),)), cfg)
     monkeypatch.undo()
-    assert len(calls) == 3 * 25 * (2 if stepper == "heun" else 1)
-    assert (1.0 in {t for _, t, _ in calls}) == (stepper == "heun")
+    assert len(calls) == 3 * 25
+    assert [t for _, t, _ in calls] == 3 * [k / 25 for k in range(25)]
+    assert max(t for _, t, _ in calls) < T_CLAMP
     for x, t, u in calls:
         assert u.tobytes() == _reference_posterior(model, x, t)[2].tobytes(), t
 

@@ -1,4 +1,4 @@
-"""Steppers and the four sampling algorithms."""
+"""The four sampling algorithms and their one Euler predictor."""
 
 import dataclasses
 import math
@@ -13,26 +13,7 @@ from chanceflow import (ConstraintSet, EmpiricalTarget, FlowModel,
                         rd_constraints, rd_dataset, run_batch)
 from chanceflow import projection, samplers
 from chanceflow.numerics import stream_rng
-from chanceflow.samplers import (euler_step, heun_step, sample_ccfm,
-                                 sample_eci, sample_repeated, sample_vanilla)
-
-
-class ConstantField:
-    """Velocity field u = (1, 0) regardless of state or time."""
-
-    dim = 2
-
-    def velocity(self, x, t):
-        return np.array([1.0, 0.0])
-
-
-class DecayField:
-    """Scalar u = -x, whose exact flow is x(t) = x(0) exp(-t)."""
-
-    dim = 1
-
-    def velocity(self, x, t):
-        return -np.asarray(x, dtype=float)
+from chanceflow.samplers import sample_ccfm, sample_eci, sample_repeated, sample_vanilla
 
 
 def single_atom_model(*coords):
@@ -46,61 +27,17 @@ TWO_MODE = FlowModel(GaussianMixtureTarget(
 SEPARATING = ConstraintSet((LinearIneq(np.array([1.0, 0.0]), 0.0),))
 
 
-# --- steppers -------------------------------------------------------------------
-
-
-def test_euler_step_constant_field():
-    out = euler_step(ConstantField(), np.zeros(2), 0.0, 0.1)
-    assert np.allclose(out, [0.1, 0.0], atol=1e-15)
-
-
-def test_euler_step_zero_dt():
-    x = np.array([0.3, -0.4])
-    assert np.array_equal(euler_step(ConstantField(), x, 0.5, 0.0), x)
+# --- vanilla ---------------------------------------------------------------------
 
 
 def test_euler_single_atom_lands_near_atom():
+    # One atom: the velocity is constant along each path, so every sample's
+    # Euler trajectory ends well inside the O(1/N) * |c - x0| envelope.
     c = np.array([2.0, -1.0])
-    model = single_atom_model(*c)
-    x = np.array([0.5, 0.5])
-    n = 32
-    for k in range(n):
-        x = euler_step(model, x, k / n, 1.0 / n)
-    assert np.linalg.norm(x - c) <= np.linalg.norm(c - np.array([0.5, 0.5])) / n
-
-
-def test_heun_equals_euler_on_constant_field():
-    x = np.array([1.0, 2.0])
-    a = euler_step(ConstantField(), x, 0.2, 0.05)
-    b = heun_step(ConstantField(), x, 0.2, 0.05)
-    assert np.array_equal(a, b)
-
-
-def test_heun_zero_dt():
-    x = np.array([0.7])
-    assert np.array_equal(heun_step(DecayField(), x, 0.1, 0.0), x)
-
-
-def test_heun_local_error_is_third_order():
-    # One step of the linear decay field: Heun reproduces the exponential
-    # through the quadratic term, so the local error is x dt^3/6 + O(dt^4).
-    x = np.array([1.0])
-    for dt in (0.1, 0.05, 0.025):
-        got = heun_step(DecayField(), x, 0.0, dt)[0]
-        err = abs(got - math.exp(-dt))
-        assert err <= dt**3
-        third_order = dt**3 / 6.0
-        assert 0.5 * third_order <= err <= 2.0 * third_order
-
-
-def test_steppers_reject_bad_steps():
-    with pytest.raises(ValueError):
-        euler_step(ConstantField(), np.zeros(2), 0.95, 0.1)
-    with pytest.raises(ValueError):
-        heun_step(ConstantField(), np.zeros(2), 0.2, -0.1)
-
-
-# --- vanilla ---------------------------------------------------------------------
+    cfg = SamplerConfig(algorithm="vanilla", n_steps=32, seed=9)
+    for i in range(4):
+        rec = sample_vanilla(single_atom_model(*c), cfg, sample_index=i)
+        assert np.linalg.norm(rec.x1 - c) <= np.linalg.norm(c - rec.x0) / 32
 
 
 def test_vanilla_single_atom_accuracy():
@@ -297,12 +234,11 @@ def exact_single_gaussian_flow(x0, mu, s, t):
     return t * mu + beta * x0
 
 
-def terminal_error(stepper, n_steps, seed=17):
+def terminal_error(n_steps, seed=17):
     mu = np.array([1.0, -0.5])
     s = 0.6
     model = FlowModel(GaussianMixtureTarget(mu[None, :], np.array([s])))
-    cfg = SamplerConfig(algorithm="vanilla", stepper=stepper, n_steps=n_steps,
-                        seed=seed)
+    cfg = SamplerConfig(algorithm="vanilla", n_steps=n_steps, seed=seed)
     errs = []
     for i in range(4):
         rec = sample_vanilla(model, cfg, sample_index=i)
@@ -312,20 +248,11 @@ def terminal_error(stepper, n_steps, seed=17):
 
 
 def test_euler_error_halves_with_doubled_steps():
-    e1 = terminal_error("euler", 20)
-    e2 = terminal_error("euler", 40)
-    e3 = terminal_error("euler", 80)
+    e1 = terminal_error(20)
+    e2 = terminal_error(40)
+    e3 = terminal_error(80)
     for coarse, fine in ((e1, e2), (e2, e3)):
         assert 1.0 <= coarse / fine <= 4.0  # factor-2 band around ratio 2
-
-
-def test_heun_error_quarters_with_doubled_steps():
-    e1 = terminal_error("heun", 20)
-    e2 = terminal_error("heun", 40)
-    e3 = terminal_error("heun", 80)
-    for coarse, fine in ((e1, e2), (e2, e3)):
-        assert 2.0 <= coarse / fine <= 8.0  # factor-2 band around ratio 4
-    assert e3 < terminal_error("euler", 80)
 
 
 # --- batch running -------------------------------------------------------------------
@@ -341,9 +268,8 @@ def test_run_batch_is_thread_count_invariant():
         assert np.array_equal(a.projection_moves, b.projection_moves)
 
 
-@pytest.mark.parametrize("algorithm, stepper", [
-    ("ccfm", "euler"), ("repeated", "heun"), ("eci", "euler")])
-def test_threads_filling_one_velocity_cache_match_one_thread_bytes(algorithm, stepper):
+@pytest.mark.parametrize("algorithm", ["ccfm", "repeated", "eci"])
+def test_threads_filling_one_velocity_cache_match_one_thread_bytes(algorithm):
     # Each side starts from a fresh model, so the threads fill its per-time
     # velocity cache concurrently; a short switch interval interleaves them.
     def fresh_model():
@@ -351,7 +277,7 @@ def test_threads_filling_one_velocity_cache_match_one_thread_bytes(algorithm, st
 
     cs = ConstraintSet((LinearIneq(np.array([1.0, 0.0]), 0.0),
                         LinearBand(np.array([0.0, 1.0]), -1.0, 1.0)))
-    cfg = SamplerConfig(algorithm=algorithm, stepper=stepper, n_steps=30, seed=8, samples=8)
+    cfg = SamplerConfig(algorithm=algorithm, n_steps=30, seed=8, samples=8)
     serial = run_batch(fresh_model(), cs, cfg, threads=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -442,12 +368,19 @@ def test_run_batch_requires_constraints_for_constrained_algorithms():
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(algorithm="magic")
-    with pytest.raises(ValueError):
-        SamplerConfig(stepper="rk4")
+    with pytest.raises(TypeError):
+        SamplerConfig(stepper="euler")  # Euler is the one predictor, not a setting
     with pytest.raises(ValueError):
         SamplerConfig(n_steps=0)
     with pytest.raises(ValueError):
         SamplerConfig(eci_events=-1)
+    # Counts are integers: a float, even a whole one, fails here and not
+    # later in np.arange or range.
+    for name in ("n_steps", "samples", "eci_events"):
+        for value in (2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match=name):
+                SamplerConfig(**{name: value})
+    assert SamplerConfig(n_steps=np.int64(3), samples=np.int32(2), eci_events=0).n_steps == 3
 
 
 def test_every_marginal_set_of_the_mix8_constraints_is_orthogonal():
