@@ -56,7 +56,6 @@ __all__ = [
     "DenseRows",
     "CoordinateRows",
     "ActiveRows",
-    "jacobian_active",
     "hinge_max",
     "max_violation",
 ]
@@ -377,6 +376,7 @@ class ConstraintSet:
 
     members: tuple
     tol: float = 1e-8
+    all_closed_form: bool = field(init=False, repr=False, compare=False)
     orthogonal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -397,6 +397,8 @@ class ConstraintSet:
         owner, local = np.array(faces, dtype=np.intp).reshape(-1, 2).T
         object.__setattr__(self, "_face_owner", owner)
         object.__setattr__(self, "_face_local", local)
+        object.__setattr__(self, "all_closed_form",
+                           all(c.has_closed_projection for c in members))
         object.__setattr__(self, "orthogonal", self.all_closed_form and (
             not members or _orthogonal(np.concatenate([np.atleast_2d(c.a) for c in members]))))
 
@@ -412,10 +414,6 @@ class ConstraintSet:
     def faces(self) -> tuple:
         """(member_index, face_index) pair for every scalar face, in order."""
         return self._faces
-
-    @property
-    def all_closed_form(self) -> bool:
-        return all(c.has_closed_projection for c in self.members)
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
         """Every face of every member, in declaration order: (n_faces,) for
@@ -441,28 +439,6 @@ def _check_point(cs: ConstraintSet, x) -> np.ndarray:
     if not np.isfinite(x).all():
         raise NumericalError("constraint evaluation at a non-finite state")
     return x
-
-
-def jacobian_active(cs: ConstraintSet, x, active) -> np.ndarray:
-    """Gradient rows of the listed faces (a sequence or an index array), one
-    row per active face, in the listed order.
-
-    Each member owning an active face has its Jacobian evaluated once, and
-    all of its active rows are gathered from it with one index.
-    """
-    if len(active) == 0:
-        raise ValueError("jacobian_active requires a nonempty active list")
-    x = _check_point(cs, x)
-    if x.ndim != 1:
-        raise ValueError(f"jacobian_active takes one state (d,), got shape {x.shape}")
-    active = np.asarray(active, dtype=np.intp)
-    owner = cs._face_owner[active]
-    local = cs._face_local[active]
-    rows = np.empty((active.size, x.size))
-    for i in dict.fromkeys(owner.tolist()):
-        mine = owner == i
-        rows[mine] = cs.members[i].jacobian(x)[local[mine]]
-    return rows
 
 
 class DenseRows:
@@ -521,7 +497,7 @@ class ActiveRows:
     """The Jacobian J of one state's listed faces, held as one row block per
     run of faces owned by the same member and never stacked into one matrix:
     gram() is J J^T and rmatvec(y) is J^T y, for the J that
-    jacobian_active(cs, x, active) stacks densely.
+    oracles.jacobian_active(cs, x, active) stacks densely.
     """
 
     def __init__(self, cs: ConstraintSet, x: np.ndarray, active: np.ndarray):

@@ -8,6 +8,14 @@ place. Cholesky factors and solves call LAPACK dpotrf/dpotrs directly, with
 the flags scipy.linalg.cho_factor/cho_solve pass (upper triangle, factor not
 cleaned), so they give the same bytes without SciPy's array-API wrappers.
 Least-distance problems go through SciPy's NNLS (Lawson-Hanson).
+
+scipy.optimize, which holds NNLS, is imported on the first least-distance
+solve, not with the module: it adds about 20 MB resident and 0.15-0.25 s of
+import, and no shipped config solves one. A run that does pays that once,
+inside the run. LAPACK stays a module-level import. Loading it lazily too
+would take the mixture runs' resident size down by another 20 MB, but
+the reaction-diffusion runs factor inside the run (simulate_rd, solve_spd),
+so about 0.2 s of import would move into their run time.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ import math
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import nnls
 
 from .errors import NumericalError
 
@@ -27,6 +34,18 @@ __all__ = [
     "solve_spd",
     "least_distance",
 ]
+
+
+def __getattr__(name: str):
+    """The module attribute nnls (scipy.optimize.nnls), imported on first
+    access and then kept in the module's globals (PEP 562).
+    least_distance reads it at call time, so it can be replaced."""
+    if name != "nnls":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import nnls
+    globals()["nnls"] = nnls
+    return nnls
+
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -176,7 +195,7 @@ def least_distance(a: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     f = np.zeros(len(e))
     f[-1] = 1.0
     try:
-        w, _ = nnls(e, f)
+        w, _ = (globals().get("nnls") or __getattr__("nnls"))(e, f)
     except RuntimeError as exc:
         raise NumericalError(f"least_distance: {exc}") from exc
     r = e @ w - f

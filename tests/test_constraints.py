@@ -14,8 +14,8 @@ from chanceflow import (ConfigError, ConstraintSet, LinearBand, LinearIneq,
                         MinDistance, NumericalError, SmoothScalar, final_refine,
                         max_violation)
 from chanceflow.config import parse_config
-from chanceflow.constraints import ActiveRows, CoordinateRows, DenseRows, jacobian_active
-from chanceflow.oracles import halfspace_qp_project
+from chanceflow.constraints import ActiveRows, CoordinateRows, DenseRows
+from chanceflow.oracles import halfspace_qp_project, jacobian_active
 from chanceflow.numerics import stream_rng
 from chanceflow.reaction_diffusion import RdGrid, rd_constraints, sample_rd_problem, simulate_rd
 

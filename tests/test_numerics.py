@@ -1,8 +1,13 @@
 """Normal quantile, seeded streams, and the SPD solver."""
 
 import ast
+import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -10,9 +15,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanceflow import NumericalError, normal_cdf, normal_quantile, solve_spd, stream_rng
-from chanceflow.constraints import jacobian_active
+from chanceflow import (ConstraintSet, LinearIneq, NumericalError, normal_cdf, normal_quantile,
+                        solve_spd, stream_rng)
 from chanceflow.numerics import _cho_factor, _cho_solve, least_distance
+from chanceflow.oracles import BruteForceConfig, brute_force_project, jacobian_active
+from chanceflow.projection import project_pocs
 from chanceflow.reaction_diffusion import RdGrid, rd_constraints, sample_rd_problem, simulate_rd
 
 
@@ -273,3 +280,103 @@ def test_only_numerics_imports_scipy_linalg():
         offenders = {p.name: scipy_imports(p, scipy_package) for p in modules
                      if p.name not in owners}
         assert not {name: lines for name, lines in offenders.items() if lines}, scipy_package
+
+
+MIXTURE_CFG = """\
+[experiment]
+id = mix_small
+seed = 4
+samples = 4
+[model]
+kind = mixture
+means = -2 0 ; 2 0
+scales = 0.4
+[constraint.1]
+kind = halfspace
+a = 1 0
+b = -1
+[constraint.2]
+kind = band
+a = 0 1
+lo = -1
+hi = 1
+[sampler]
+algorithm = ccfm repeated eci vanilla
+steps = 10
+[metrics]
+reference_samples = 64
+n_projections = 16
+[output]
+csv = mix_small.csv
+"""
+
+RD_CFG = """\
+[experiment]
+id = rd_small
+seed = 2
+samples = 2
+[model]
+kind = reaction_diffusion
+n_s = 8
+n_t = 4
+dt_phys = 0.2
+train_fields = 5
+[sampler]
+algorithm = ccfm
+mode = pathwise
+steps = 10
+[output]
+csv = rd_small.csv
+"""
+
+# Two halfspaces with non-orthogonal normals, both violated at X_POCS: their
+# projection is one least-distance (NNLS) solve.
+SKEW_SET = ((1.0, 0.2), 0.0), ((-0.3, 1.0), -0.1)
+X_POCS = (1.0, 1.2)
+
+RUN_PATH_SCRIPT = textwrap.dedent("""\
+    import json, sys
+    import numpy as np
+    import chanceflow, chanceflow.cli
+    from chanceflow import ConstraintSet, LinearIneq
+    from chanceflow.oracles import BruteForceConfig, brute_force_project
+    from chanceflow.projection import project_pocs
+
+    mix, rd, out, skew, x = sys.argv[1], sys.argv[2], sys.argv[3], *map(json.loads, sys.argv[4:])
+    codes = [chanceflow.cli.run_experiment(path, out_dir=out) for path in (mix, rd)]
+    after_runs = "scipy.optimize" in sys.modules
+    cs = ConstraintSet(tuple(LinearIneq(np.array(a), b) for a, b in skew))
+    x = np.array(x)
+    pocs = project_pocs(x, cs).x_out.tolist()
+    after_pocs = "scipy.optimize" in sys.modules
+    brute = brute_force_project(x, cs, BruteForceConfig(h=1e-2)).tolist()
+    print(json.dumps({"codes": codes, "after_runs": after_runs, "after_pocs": after_pocs,
+                      "pocs": pocs, "brute": brute}))
+""")
+
+
+def test_run_path_never_imports_scipy_optimize(tmp_path):
+    # scipy.optimize (NNLS and SLSQP) is imported on the first solve that
+    # needs it. Importing the package and CLI and running an orthogonal
+    # mixture config and a reaction-diffusion config leave it unloaded; a
+    # least-distance projection loads it and matches the in-process result,
+    # as does the brute-force oracle's SLSQP polish.
+    (tmp_path / "mix.cfg").write_text(MIXTURE_CFG, encoding="utf-8")
+    (tmp_path / "rd.cfg").write_text(RD_CFG, encoding="utf-8")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_PATH_SCRIPT, str(tmp_path / "mix.cfg"),
+         str(tmp_path / "rd.cfg"), str(tmp_path), json.dumps(SKEW_SET), json.dumps(X_POCS)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0]
+    assert (tmp_path / "mix_small.csv").is_file() and (tmp_path / "rd_small.csv").is_file()
+    assert not out["after_runs"]
+    assert out["after_pocs"]
+    cs = ConstraintSet(tuple(LinearIneq(np.array(a), b) for a, b in SKEW_SET))
+    x = np.array(X_POCS)
+    assert np.array_equal(out["pocs"], project_pocs(x, cs).x_out)
+    assert np.array_equal(out["brute"], brute_force_project(x, cs, BruteForceConfig(h=1e-2)))

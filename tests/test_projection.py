@@ -13,8 +13,7 @@ from chanceflow import (ConstraintSet, LinearBand, LinearIneq,
 from chanceflow import numerics as numerics_module
 from chanceflow import projection as projection_module
 from chanceflow.chance import tighten_linear
-from chanceflow.oracles import halfspace_qp_project
-from chanceflow.constraints import jacobian_active
+from chanceflow.oracles import halfspace_qp_project, jacobian_active
 from chanceflow.numerics import solve_spd, stream_rng
 from chanceflow.reaction_diffusion import (RdGrid, RdProblem, rd_constraints,
                                            simulate_rd)

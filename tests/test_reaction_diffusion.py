@@ -12,10 +12,11 @@ from chanceflow import (ConstraintSet, EmpiricalTarget, FlowModel, NumericalErro
                         RdGrid, RdProblem, SamplerConfig, SmoothScalar, final_refine,
                         max_violation, moment_errors, rd_constraints, rd_dataset,
                         rd_violation_split, run_batch, simulate_rd)
-from chanceflow import constraints, projection, samplers
+from chanceflow import oracles, projection, samplers
 from chanceflow.config import parse_config
-from chanceflow.constraints import LinearBand, jacobian_active
+from chanceflow.constraints import LinearBand
 from chanceflow.numerics import stream_rng
+from chanceflow.oracles import jacobian_active
 from chanceflow.reaction_diffusion import (MassBalance, _diffusion_operator, as_field,
                                            sample_rd_problem)
 
@@ -348,7 +349,7 @@ def test_pathwise_run_never_forms_a_dense_jacobian(monkeypatch):
     # Gauss-Newton reads the set through its row blocks. Once the set is
     # built (the mass law's finite-difference check reads its dense rows),
     # neither the per-step corrections nor final_refine evaluate the mass
-    # law's dense jacobian or stack rows with jacobian_active.
+    # law's dense jacobian or stack rows with oracles.jacobian_active.
     grid = RdGrid(n_s=8, n_t=4, dt_phys=0.2)
     fields, problems = rd_dataset(grid, 5, seed=3)
     cs = rd_constraints(problems[0])
@@ -366,8 +367,8 @@ def test_pathwise_run_never_forms_a_dense_jacobian(monkeypatch):
     spy(MassBalance, "jacobian")
     spy(MassBalance, "row_block")
     spy(LinearBand, "row_block")
-    spy(constraints, "jacobian_active")
-    monkeypatch.setattr(projection, "jacobian_active", constraints.jacobian_active,
+    spy(oracles, "jacobian_active")
+    monkeypatch.setattr(projection, "jacobian_active", oracles.jacobian_active,
                         raising=False)
     cfg = SamplerConfig(algorithm="ccfm", n_steps=10, seed=3, samples=2, mode="pathwise")
     records = run_batch(FlowModel(EmpiricalTarget(fields[1:])), cs, cfg)
